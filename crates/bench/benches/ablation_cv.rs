@@ -1,6 +1,6 @@
-//! Ablation of UADB's own design choices (DESIGN.md §5): CV ensemble
-//! size, warm-start vs per-step reinitialisation, and the dispersion
-//! scale of the correction term.
+//! Ablation of UADB's own design choices: CV ensemble size, warm-start
+//! vs per-step reinitialisation, and the dispersion scale of the
+//! correction term.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use uadb::booster::CorrectionScale;

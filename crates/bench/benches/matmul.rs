@@ -6,10 +6,11 @@
 //! (every score is standardise → matmul chain → sigmoid), so this bench
 //! is the regression gate for any `uadb_linalg` change. The `naive_*`
 //! cases run the historic i/k/j triple loop verbatim, so one run shows
-//! the blocked kernel's speedup directly; `forward_pass/*` covers the
-//! end-to-end booster forward at serving batch shapes (1 row, 256
-//! rows, 8k rows) for both the allocating `Mlp::forward` and the
-//! zero-allocation `Mlp::forward_scored` paths.
+//! the blocked kernel's speedup directly; `relu_into_256x128x128` is a
+//! half-zero hidden-layer input on the compacted path; `forward_pass/*`
+//! covers the end-to-end booster forward at serving batch shapes (1
+//! row, 256 rows, 8k rows) for both the allocating `Mlp::forward` and
+//! the zero-allocation `Mlp::forward_scored` paths.
 //!
 //! Environment knobs:
 //! * `UADB_BENCH_SMOKE=1` — 3 samples per case (CI smoke mode);
@@ -73,6 +74,22 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    // The booster's hidden layer as it runs: a ReLU output (about half
+    // its cells exactly zero) through a 128×128 weight. Those rows take
+    // the compacted path, which must not lose to the dense case above.
+    let mut a = filled_matrix(256, 128, 7);
+    for v in a.as_mut_slice() {
+        *v = v.max(0.0);
+    }
+    let b = filled_matrix(128, 128, 11);
+    let mut scratch = GemmScratch::precomputed(&b);
+    let mut out = vec![0.0; 256 * 128];
+    g.bench_function("relu_into_256x128x128", |bch| {
+        bch.iter(|| {
+            a.matmul_into(&b, &mut scratch, &mut out).unwrap();
+            black_box(out.as_slice().len())
+        })
+    });
     g.finish();
 
     let mut g = c.benchmark_group("forward");

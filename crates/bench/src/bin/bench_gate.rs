@@ -7,7 +7,8 @@
 //!
 //! 1. **Machine-independent invariants** (always on): within a single
 //!    run, the blocked `dense_into` kernel must still beat the naive
-//!    kernel at batch sizes ≥ 256, and the scratch-buffer forward pass
+//!    kernel at batch sizes ≥ 256, a ReLU-sparse lhs must not take
+//!    longer than a dense one, and the scratch-buffer forward pass
 //!    must not lose to the allocating one at the 8192-row batch; on the
 //!    serving plane, the binary `application/x-uadb-rows` request must
 //!    beat the equivalent JSON request at the 8192-row batch. These
@@ -99,6 +100,9 @@ const INVARIANTS: &[(&str, &str, f64)] = &[
     ("dense_into_256x16x128", "naive_256x16x128", 1.0),
     ("dense_into_256x128x128", "naive_256x128x128", 1.0),
     ("dense_into_1024x64x64", "naive_1024x64x64", 1.0),
+    // A ReLU-sparse lhs does half the dense case's work, so it must not
+    // take longer: zeros are skipped, not branched over.
+    ("relu_into_256x128x128", "dense_into_256x128x128", 1.0),
     ("scratch_8192x32", "alloc_8192x32", 1.1),
     // Serving plane (BENCH_serve.json): at the 8192-row batch the binary
     // wire format must beat JSON regardless of shard count — parsing

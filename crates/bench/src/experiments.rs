@@ -1,6 +1,5 @@
-//! One function per table/figure of the paper; each computes the
-//! experiment and prints the corresponding rows (DESIGN.md §4 maps the
-//! paper artefacts to these functions).
+//! One function per table/figure of the paper, named after it; each
+//! computes the experiment and prints the corresponding rows.
 
 use crate::report::{f4, f4s, pval, Table};
 use crate::setup;

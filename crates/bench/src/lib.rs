@@ -1,5 +1,6 @@
 //! Benchmark harness regenerating every table and figure of the UADB
-//! paper (see DESIGN.md §4 for the experiment index).
+//! paper: [`experiments`] has one function per artefact, named after it
+//! (`table3` … `fig10`).
 //!
 //! Each Criterion bench target under `benches/` and each full-run binary
 //! under `src/bin/` calls into the experiment functions here, prints the

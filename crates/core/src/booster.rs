@@ -103,12 +103,12 @@ impl UadbConfig {
     ///
     /// The paper's batch of 256 assumes ADBench-scale datasets (typically
     /// thousands of rows, i.e. ≳10 gradient updates per epoch). The
-    /// simulated suite is scaled down, so a fixed 256 would leave the
-    /// booster with a handful of Adam steps and it would never leave its
-    /// initialisation (verified empirically; see DESIGN.md §2). Capping
-    /// the batch at `n/16` keeps the *update count* per epoch at the
-    /// paper's effective level while converging to the configured batch
-    /// size for paper-scale inputs.
+    /// simulated suite is scaled down (240–520 rows per dataset at quick
+    /// scale, 400–1200 at full), so a fixed 256 would give the booster
+    /// one to five Adam steps per epoch, too few to leave its
+    /// initialisation. Capping the batch at `n/16` keeps the *update
+    /// count* per epoch at the paper's effective level while converging
+    /// to the configured batch size for paper-scale inputs.
     pub fn effective_batch(&self, n: usize) -> usize {
         self.batch_size.min((n / 16).max(16)).max(1)
     }
@@ -380,8 +380,8 @@ impl Uadb {
             // Cap at the 99th percentile: a single flip-flopping point
             // would otherwise stretch the min-max range every step and
             // compress all other pseudo labels toward zero, starving the
-            // booster's MSE gradients (a small-n stabilisation; see
-            // DESIGN.md §2).
+            // booster's MSE gradients (a small-n stabilisation this
+            // reproduction adds; the paper's update has no cap).
             if let Some(cap) = uadb_stats::quantile(&variance, 0.99) {
                 for v in &mut variance {
                     if *v > cap {

@@ -1,14 +1,14 @@
 //! The 84-dataset simulated suite, one entry per row of the paper's
 //! Table III.
 //!
-//! Substitution note (DESIGN.md §2): the paper uses the real ADBench
-//! datasets; this crate regenerates a *simulated* stand-in per roster
-//! entry with the same name, anomaly percentage and category. Each
-//! dataset's generator parameters (dimensionality, cluster count, anomaly
-//! type mixture, difficulty) are derived deterministically from the
-//! dataset name, so the suite is heterogeneous — which is precisely the
-//! property the paper's "no universal winner" argument rests on — and
-//! fully reproducible.
+//! Substitution note: the paper uses the real ADBench datasets, which
+//! cannot be redistributed here; this crate regenerates a *simulated*
+//! stand-in per roster entry with the same name, anomaly percentage and
+//! category. Each dataset's generator parameters (dimensionality,
+//! cluster count, anomaly type mixture, difficulty) are derived
+//! deterministically from the dataset name, so the suite is
+//! heterogeneous — which is precisely the property the paper's "no
+//! universal winner" argument rests on — and fully reproducible.
 
 use crate::dataset::Dataset;
 use crate::synth::{generate, AnomalyType, SynthConfig};
@@ -148,8 +148,8 @@ impl SuiteScale {
     /// Reads `UADB_SCALE` (`quick`/`full`) from the environment,
     /// defaulting to `Quick`. Orthogonal to `UADB_SUITE`, which selects
     /// roster *coverage* (12-dataset subset vs all 84) in the harness —
-    /// all headline numbers in EXPERIMENTS.md are full coverage at quick
-    /// scale.
+    /// the full-run `uadb_bench` binaries default to full coverage at
+    /// quick scale.
     pub fn from_env() -> Self {
         match std::env::var("UADB_SCALE").ok().as_deref() {
             Some("full") | Some("FULL") => SuiteScale::Full,

@@ -9,7 +9,7 @@
 //! Training epochs are scaled to 20 (PyOD uses 100) — DeepSVDD's
 //! *relative* behaviour (weakest of the 14, biggest UADB gains, cf.
 //! Table IV) is insensitive to this and it keeps the full-suite
-//! experiments laptop-sized; see DESIGN.md §2.
+//! experiments laptop-sized.
 
 use crate::traits::{Detector, DetectorError};
 use uadb_linalg::Matrix;

@@ -24,6 +24,23 @@
 //! finite (`0.0 * NaN` and `0.0 * inf` are NaN). The finiteness mask is
 //! owned by [`GemmScratch`] so repeated multiplies against one weight
 //! matrix compute it once instead of per call.
+//!
+//! Skipping is a speed choice only. A skipped term is `0.0 · b` with
+//! `b` finite, so it is `±0.0`; every sum starts at `+0.0`, IEEE
+//! addition returns `-0.0` only for two `-0.0` operands, so no partial
+//! sum is ever `-0.0`, and adding `±0.0` to it changes no bit. Any
+//! subset of the skippable terms may therefore be added or dropped, as
+//! long as the rest are added in ascending `k`.
+//!
+//! Two row kinds feed the strips. A row with no zero coefficient runs
+//! every `k` through the dense strip. A row with zeros — ReLU
+//! activations are about half zeros — first has its surviving `k`
+//! indices compacted once per row block, without a branch, and every
+//! strip of that row then walks only that list. The ragged remainder
+//! columns add every term for every row.
+
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -39,6 +56,11 @@ const MC: usize = 64;
 /// Column-block width (a multiple of [`NR`]): bounds the working set of
 /// `b` touched before `a`'s row block is re-streamed.
 const NC: usize = 256;
+/// `k`-block depth of the compacted path: a block-local index fits a
+/// `u8`, so one row block's surviving-`k` lists take `MC * KC` bytes.
+/// Deeper `k` runs block by block, each block's strips adding onto the
+/// partial sums the previous block left in `out`.
+const KC: usize = 256;
 /// Minimum batch height for which [`Matrix::matmul_into`] packs the rhs
 /// on the fly; below this the O(k·n) packing pass costs more than the
 /// strided loads it saves.
@@ -245,9 +267,10 @@ pub fn pack_rhs(k: usize, n: usize, b: &[f64], pack: &mut Vec<f64>) {
 ///
 /// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`. `rhs_row_finite(r)` must
 /// report whether row `r` of `b` is entirely finite; it is only
-/// consulted for zero left-hand coefficients, so a lazily-built mask
-/// costs nothing on fully dense inputs. `packed_b`, when given, must be
-/// the [`pack_rhs`] image of `b`; strips then stream the packed panel.
+/// consulted for row blocks holding a zero left-hand coefficient and
+/// at least one full strip, so a lazily-built mask costs nothing on
+/// fully dense inputs. `packed_b`, when given, must be the [`pack_rhs`]
+/// image of `b`; strips then stream the packed panel.
 ///
 /// # Panics
 /// If any slice length disagrees with the given dimensions.
@@ -275,54 +298,188 @@ pub fn gemm_into(
         out.fill(0.0);
         return;
     }
-    let isa = simd::detect();
-    stats::isa_call(isa);
-    for jc in (0..n).step_by(NC.max(1)) {
+    let g = Gemm { isa: simd::detect(), k, n, a, b, packed_b };
+    stats::isa_call(g.isa);
+    for jc in (0..n).step_by(NC) {
         let jc_end = (jc + NC).min(n);
+        // Full strips cover `jc..strips_end`; the ragged remainder
+        // columns (a 1-wide head is all remainder) run scalar.
+        let strips_end = jc + (jc_end - jc) / NR * NR;
         for ic in (0..m).step_by(MC) {
             let ic_end = (ic + MC).min(m);
-            // Rows with a zero coefficient must run the mask-gated
-            // sparse strip; all-dense rows (the overwhelmingly common
-            // case for standardised features) take a branch-free SIMD
-            // strip. One prescan per block amortises over every strip.
-            let mut row_has_zero = [false; MC];
-            for (slot, i) in row_has_zero.iter_mut().zip(ic..ic_end) {
-                *slot = a[i * k..(i + 1) * k].contains(&0.0);
-            }
-            // Full NR-wide strips, then the ragged remainder.
-            let mut jt = jc;
-            while jt + NR <= jc_end {
-                // Strip source: packed panel (stride NR) or the raw
-                // row-major rhs (stride n).
-                let (bs, stride) = match packed_b {
-                    Some(p) => (&p[(jt / NR) * k * NR..(jt / NR + 1) * k * NR], NR),
-                    None => (&b[jt..], n),
-                };
-                for i in ic..ic_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_strip = &mut out[i * n + jt..i * n + jt + NR];
-                    if row_has_zero[i - ic] {
-                        strip16_sparse(a_row, bs, stride, &mut rhs_row_finite, out_strip);
-                    } else {
-                        strip16_dense(isa, a_row, bs, stride, out_strip);
-                    }
+            if jc < strips_end {
+                // One prescan per block sorts rows into dense ones
+                // (every `k` contributes) and zero-containing ones.
+                let mut has_zero = [false; MC];
+                for (slot, i) in has_zero.iter_mut().zip(ic..ic_end) {
+                    *slot = a[i * k..(i + 1) * k].contains(&0.0);
                 }
-                jt += NR;
+                g.dense_strips(ic..ic_end, &has_zero, jc..strips_end, out);
+                if has_zero.contains(&true) {
+                    let strips = jc..strips_end;
+                    g.compacted_strips(ic..ic_end, &has_zero, strips, &mut rhs_row_finite, out);
+                }
             }
-            for j in jt..jc_end {
-                for i in ic..ic_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let mut acc = 0.0f64;
-                    for (kk, &a_ik) in a_row.iter().enumerate() {
-                        if a_ik == 0.0 && rhs_row_finite(kk) {
-                            continue;
-                        }
-                        acc += a_ik * b[kk * n + j];
-                    }
-                    out[i * n + j] = acc;
+            g.remainder(ic..ic_end, strips_end..jc_end, out);
+        }
+    }
+}
+
+/// The operands of one [`gemm_into`] call and the ISA its strips run
+/// on. Row blocks (`rows`, at most [`MC`] rows, `has_zero` flagging
+/// each) and column ranges index the whole `a` and `out`; `strips`
+/// ranges are whole multiples of [`NR`] columns.
+struct Gemm<'a> {
+    isa: simd::Isa,
+    k: usize,
+    n: usize,
+    a: &'a [f64],
+    b: &'a [f64],
+    packed_b: Option<&'a [f64]>,
+}
+
+impl<'a> Gemm<'a> {
+    /// Rhs columns `jt..jt + NR` from row `kc` on: the packed panel
+    /// (stride `NR`) or the raw row-major rhs (stride `n`).
+    fn strip(&self, jt: usize, kc: usize) -> (&'a [f64], usize) {
+        let (k, n) = (self.k, self.n);
+        match self.packed_b {
+            Some(p) => (&p[(jt / NR) * k * NR + kc * NR..(jt / NR + 1) * k * NR], NR),
+            None => (&self.b[kc * n + jt..], n),
+        }
+    }
+
+    /// The full strips of the block's rows without a zero coefficient:
+    /// every `k` contributes.
+    // audit: no_alloc
+    fn dense_strips(
+        &self,
+        rows: Range<usize>,
+        has_zero: &[bool; MC],
+        strips: Range<usize>,
+        out: &mut [f64],
+    ) {
+        let (k, n) = (self.k, self.n);
+        for jt in strips.step_by(NR) {
+            let (bs, stride) = self.strip(jt, 0);
+            for i in (rows.start..rows.end).filter(|&i| !has_zero[i - rows.start]) {
+                let out_strip = &mut out[i * n + jt..i * n + jt + NR];
+                strip16_dense(self.isa, &self.a[i * k..(i + 1) * k], bs, stride, out_strip);
+            }
+        }
+    }
+
+    /// The full strips of the block's rows holding a zero coefficient.
+    /// Per `k` block, each row's surviving indices are compacted once;
+    /// every strip of the row then walks only that list, adding onto
+    /// the partial sums the previous `k` block left in `out`.
+    /// Never inlined: the 16 KiB list buffer would otherwise sit in
+    /// `gemm_into`'s frame, and every call, dense ones included, would
+    /// pay its stack probes.
+    // audit: no_alloc
+    #[inline(never)]
+    fn compacted_strips(
+        &self,
+        rows: Range<usize>,
+        has_zero: &[bool; MC],
+        strips: Range<usize>,
+        rhs_row_finite: &mut impl FnMut(usize) -> bool,
+        out: &mut [f64],
+    ) {
+        let (k, n) = (self.k, self.n);
+        let sparse = || (rows.start..rows.end).filter(|&i| has_zero[i - rows.start]);
+        let mut survivors = Survivors::new();
+        for i in sparse() {
+            out[i * n + strips.start..i * n + strips.end].fill(0.0);
+        }
+        for kc in (0..k).step_by(KC) {
+            let kc_end = (kc + KC).min(k);
+            let mut finite = [false; KC];
+            for (slot, kk) in finite.iter_mut().zip(kc..kc_end) {
+                *slot = rhs_row_finite(kk);
+            }
+            for i in sparse() {
+                survivors.compact(i - rows.start, &self.a[i * k + kc..i * k + kc_end], &finite);
+            }
+            for jt in (strips.start..strips.end).step_by(NR) {
+                let (bs, stride) = self.strip(jt, kc);
+                for i in sparse() {
+                    let a_blk = &self.a[i * k + kc..i * k + kc_end];
+                    let list = survivors.list(i - rows.start);
+                    let out_strip = &mut out[i * n + jt..i * n + jt + NR];
+                    strip16_list(self.isa, a_blk, list, bs, stride, out_strip);
                 }
             }
         }
+    }
+
+    /// The ragged remainder columns of every row in the block, each an
+    /// ascending sum over every `k`. Adding the ±0.0 terms the skip
+    /// rule drops leaves each sum's bits unchanged (see the module
+    /// docs), so the remainder needs no list, and a block with no full
+    /// strip (the 128 → 1 head) compacts nothing: on a 2-vCPU AVX-512
+    /// Xeon the booster's 8192-row head took 0.9 ms this way against
+    /// 2.8 ms with compacted lists.
+    // audit: no_alloc
+    fn remainder(&self, rows: Range<usize>, cols: Range<usize>, out: &mut [f64]) {
+        let (k, n) = (self.k, self.n);
+        for i in rows {
+            let a_row = &self.a[i * k..(i + 1) * k];
+            for j in cols.start..cols.end {
+                let col = self.b[j..].iter().step_by(n);
+                out[i * n + j] =
+                    a_row.iter().zip(col).fold(0.0, |acc, (&a_ik, &bv)| acc + a_ik * bv);
+            }
+        }
+    }
+}
+
+/// The surviving-`k` lists of one row block's zero-containing rows for
+/// one `k` block: row `r`'s list holds, ascending, the block-local `t`
+/// whose term `a[t] · b[t]` is kept — all but the zero coefficients
+/// whose rhs row is finite.
+///
+/// The index bytes are left uninitialised, since zeroing `MC * KC`
+/// bytes is a fixed cost that one-row multiplies would feel; `lens[r]`
+/// counts the prefix of row `r`'s slot that [`Survivors::compact`] has
+/// written, and [`Survivors::list`] exposes only that prefix.
+struct Survivors {
+    idx: [MaybeUninit<u8>; MC * KC],
+    lens: [usize; MC],
+}
+
+impl Survivors {
+    fn new() -> Self {
+        Self { idx: [MaybeUninit::uninit(); MC * KC], lens: [0; MC] }
+    }
+
+    /// Replaces row `r`'s list with the survivors of `a_blk` (at most
+    /// [`KC`] coefficients; `finite[t]` is rhs row `t`'s finiteness).
+    /// Branch-free: every index is stored and the length advances only
+    /// for kept terms, so ReLU's unpredictable zeros cost no
+    /// mispredictions.
+    // audit: no_alloc
+    fn compact(&mut self, r: usize, a_blk: &[f64], finite: &[bool; KC]) {
+        debug_assert!(a_blk.len() <= KC);
+        let slot = &mut self.idx[r * KC..(r + 1) * KC];
+        let mut len = 0;
+        for (t, (&a_ik, &fin)) in a_blk.iter().zip(finite).enumerate() {
+            // `len <= t < KC`, and `t` fits a `u8` because KC = 256.
+            slot[len] = MaybeUninit::new(t as u8);
+            len += usize::from(!((a_ik == 0.0) & fin));
+        }
+        self.lens[r] = len;
+    }
+
+    /// Row `r`'s list as written by the last [`Survivors::compact`]
+    /// (empty before the first).
+    fn list(&self, r: usize) -> &[u8] {
+        let written = &self.idx[r * KC..r * KC + self.lens[r]];
+        // SAFETY: `lens[r]` starts at 0 and is only set by `compact`,
+        // after it has stored every index below it in row `r`'s slot,
+        // so each element of `written` is initialised; `MaybeUninit<u8>`
+        // has the layout of `u8`.
+        unsafe { &*(written as *const [MaybeUninit<u8>] as *const [u8]) }
     }
 }
 
@@ -333,9 +490,7 @@ pub fn gemm_into(
 /// Dispatches to the widest SIMD micro-kernel the host supports; every
 /// variant performs the identical sequence of per-element IEEE mul/add
 /// operations (no fused multiply-add), so all of them — and the
-/// portable fallback — produce bit-identical strips. With no zero
-/// coefficients the zero-skip never fires, so skipping logic is absent
-/// rather than replayed.
+/// portable fallback — produce bit-identical strips.
 // audit: no_alloc
 #[inline]
 fn strip16_dense(isa: simd::Isa, a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
@@ -361,38 +516,54 @@ fn strip16_dense(isa: simd::Isa, a_row: &[f64], bs: &[f64], stride: usize, out: 
     out.copy_from_slice(&acc);
 }
 
-/// The mask-gated strip for lhs rows containing zero coefficients:
-/// identical accumulation order, but each zero may skip its rank-1
-/// contribution when the rhs row is finite (ReLU-sparse activations
-/// skip roughly half the work). Stays scalar: the skip branch defeats
-/// SIMD anyway, and the closure inlines to a mask lookup.
+/// One output strip over a compacted `k` list: adds
+/// `a_blk[t] · bs[t*stride + c]` onto `out[c]` for each `t` in `list`,
+/// in list order, starting from the partial sums `out` already holds.
+///
+/// The same per-element unfused mul-then-add sequence as
+/// [`strip16_dense`], restricted to the listed terms and dispatched the
+/// same way, so every ISA path stays bit-identical.
 // audit: no_alloc
-fn strip16_sparse(
-    a_row: &[f64],
+#[inline]
+fn strip16_list(
+    isa: simd::Isa,
+    a_blk: &[f64],
+    list: &[u8],
     bs: &[f64],
     stride: usize,
-    rhs_row_finite: &mut impl FnMut(usize) -> bool,
     out: &mut [f64],
 ) {
     debug_assert_eq!(out.len(), NR);
-    let mut acc = [0.0f64; NR];
-    for (kk, &a_ik) in a_row.iter().enumerate() {
-        if a_ik == 0.0 && rhs_row_finite(kk) {
-            continue;
+    debug_assert!(a_blk.is_empty() || (a_blk.len() - 1) * stride + NR <= bs.len());
+    #[cfg(target_arch = "x86_64")]
+    match isa {
+        simd::Isa::Avx512 => {
+            // SAFETY: `detect` proved the feature; the debug asserts
+            // above state the bounds contract the callers uphold.
+            return unsafe { simd::strip16_list_avx512(a_blk, list, bs, stride, out) };
         }
-        let b_strip = &bs[kk * stride..kk * stride + NR];
-        for (slot, &bv) in acc.iter_mut().zip(b_strip) {
+        // SAFETY: same contract as the AVX-512 arm, with AVX proved.
+        simd::Isa::Avx => return unsafe { simd::strip16_list_avx(a_blk, list, bs, stride, out) },
+        simd::Isa::Portable => {}
+    }
+    let _ = isa;
+    let mut acc = [0.0f64; NR];
+    acc.copy_from_slice(out);
+    for &t in list {
+        let t = usize::from(t);
+        let a_ik = a_blk[t];
+        for (slot, &bv) in acc.iter_mut().zip(&bs[t * stride..t * stride + NR]) {
             *slot += a_ik * bv;
         }
     }
     out.copy_from_slice(&acc);
 }
 
-/// Explicit-SIMD strip micro-kernels for the dense (no-zero) path.
+/// Explicit-SIMD strip micro-kernels for the dense and compacted paths.
 ///
 /// LLVM's SLP pass does not vectorise the 16 cross-iteration reduction
-/// chains of the portable strip (they compile to unrolled scalar
-/// `mulsd`/`addsd`), so the hot strip is written with `std::arch`
+/// chains of the portable strips (they compile to unrolled scalar
+/// `mulsd`/`addsd`), so the hot strips are written with `std::arch`
 /// intrinsics. Only unfused `mul` + `add` are used — **never** FMA,
 /// which rounds once instead of twice and would break the kernel's
 /// bit-identity guarantee.
@@ -450,7 +621,7 @@ mod simd {
     /// # Safety
     /// AVX must be available, and `bs` must cover every strip row:
     /// `(a_row.len() - 1) * stride + 16 <= bs.len()` (upheld by the
-    /// slicing in `gemm_into` for both the packed and direct layouts).
+    /// slicing in `Gemm::strip` for both the packed and direct layouts).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
     pub unsafe fn strip16_avx(a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
@@ -503,6 +674,80 @@ mod simd {
                 bp = bp.add(stride);
             }
             let op = out.as_mut_ptr();
+            _mm512_storeu_pd(op, acc0);
+            _mm512_storeu_pd(op.add(8), acc1);
+        }
+    }
+
+    /// # Safety
+    /// AVX must be available, `out` must hold 16 elements, and `bs` must
+    /// cover every row `a_blk` can index: `(a_blk.len() - 1) * stride +
+    /// 16 <= bs.len()`. List entries index `a_blk` with a bounds check,
+    /// so any list is sound.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    pub unsafe fn strip16_list_avx(
+        a_blk: &[f64],
+        list: &[u8],
+        bs: &[f64],
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        use std::arch::x86_64::*;
+        debug_assert!(a_blk.is_empty() || (a_blk.len() - 1) * stride + super::NR <= bs.len());
+        debug_assert_eq!(out.len(), super::NR);
+        // SAFETY: `a_blk[t]` is checked, so `t < a_blk.len()` and the
+        // fn's contract puts all 16 `bp` lanes inside `bs`; `op` covers
+        // `out`'s 16 elements. Unaligned intrinsics only.
+        unsafe {
+            let op = out.as_mut_ptr();
+            let mut acc0 = _mm256_loadu_pd(op);
+            let mut acc1 = _mm256_loadu_pd(op.add(4));
+            let mut acc2 = _mm256_loadu_pd(op.add(8));
+            let mut acc3 = _mm256_loadu_pd(op.add(12));
+            for &t in list {
+                let t = usize::from(t);
+                let av = _mm256_set1_pd(a_blk[t]);
+                let bp = bs.as_ptr().add(t * stride);
+                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, _mm256_loadu_pd(bp)));
+                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(4))));
+                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(8))));
+                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(12))));
+            }
+            _mm256_storeu_pd(op, acc0);
+            _mm256_storeu_pd(op.add(4), acc1);
+            _mm256_storeu_pd(op.add(8), acc2);
+            _mm256_storeu_pd(op.add(12), acc3);
+        }
+    }
+
+    /// # Safety
+    /// As [`strip16_list_avx`], with AVX-512F available.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn strip16_list_avx512(
+        a_blk: &[f64],
+        list: &[u8],
+        bs: &[f64],
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        use std::arch::x86_64::*;
+        debug_assert!(a_blk.is_empty() || (a_blk.len() - 1) * stride + super::NR <= bs.len());
+        debug_assert_eq!(out.len(), super::NR);
+        // SAFETY: as in `strip16_list_avx` — checked `t`, then
+        // contract-bounded unaligned loads/stores only.
+        unsafe {
+            let op = out.as_mut_ptr();
+            let mut acc0 = _mm512_loadu_pd(op);
+            let mut acc1 = _mm512_loadu_pd(op.add(8));
+            for &t in list {
+                let t = usize::from(t);
+                let av = _mm512_set1_pd(a_blk[t]);
+                let bp = bs.as_ptr().add(t * stride);
+                acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, _mm512_loadu_pd(bp)));
+                acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, _mm512_loadu_pd(bp.add(8))));
+            }
             _mm512_storeu_pd(op, acc0);
             _mm512_storeu_pd(op.add(8), acc1);
         }

@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
+use proptest::strategy::Just;
 use uadb_linalg::colstats::covariance;
 use uadb_linalg::distance::{euclidean, pairwise};
 use uadb_linalg::eigen::sym_eigen;
@@ -27,21 +28,44 @@ fn poisoned_cell() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Strategy: an `(a, b)` operand pair of compatible random shapes —
-/// heights straddling the pack threshold and block size, widths
-/// straddling the register-strip width — where cells may be zero or
-/// non-finite and whole lhs rows are sometimes forced to all zeros.
+/// Strategy: an `(a, b)` operand pair of compatible random shapes.
+///
+/// Most cases are small — heights straddling the pack threshold and
+/// block size, widths straddling the register-strip width — with cells
+/// that may be zero or non-finite and whole lhs rows sometimes forced to
+/// all zeros. One case in three is ReLU-shaped instead: about half the
+/// lhs cells are exactly `0.0`, `m` runs past the 64-row block and `k`
+/// past the 256-deep `k` block of the compacted path, and the rhs holds
+/// at most one NaN, so most zeros skip while that row's zeros may not.
 fn gemm_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
-    (1usize..12, 1usize..10, 1usize..40).prop_flat_map(|(m, k, n)| {
-        let a = prop::collection::vec(poisoned_cell(), m * k);
-        let b = prop::collection::vec(poisoned_cell(), k * n);
+    let shape = (0u32..3).prop_flat_map(|draw| {
+        // Miri runs 4 cases and would spend minutes on one ReLU-shaped
+        // product, so it keeps to the small shapes.
+        let relu = draw == 0 && !cfg!(miri);
+        let (m_max, k_max) = if relu { (150, 320) } else { (12, 10) };
+        (Just(relu), 1usize..m_max, 1usize..k_max, 1usize..40)
+    });
+    shape.prop_flat_map(|(relu, m, k, n)| {
+        let a = prop::collection::vec((poisoned_cell(), -10.0..10.0f64), m * k);
+        let b = prop::collection::vec((poisoned_cell(), -10.0..10.0f64), k * n);
         let zero_rows = prop::collection::vec(prop::bool::ANY, m);
-        (a, b, zero_rows).prop_map(move |(mut av, bv, zr)| {
-            for (i, &z) in zr.iter().enumerate() {
-                if z {
-                    av[i * k..(i + 1) * k].fill(0.0);
+        (a, b, zero_rows, 0..2 * k * n).prop_map(move |(a, b, zr, nan_at)| {
+            let (av, bv) = if relu {
+                let av = a.iter().map(|&(_, v)| if v < 0.0 { 0.0 } else { v }).collect();
+                let mut bv: Vec<f64> = b.iter().map(|&(_, v)| v).collect();
+                if let Some(cell) = bv.get_mut(nan_at) {
+                    *cell = f64::NAN;
                 }
-            }
+                (av, bv)
+            } else {
+                let mut av: Vec<f64> = a.iter().map(|&(c, _)| c).collect();
+                for (i, &z) in zr.iter().enumerate() {
+                    if z {
+                        av[i * k..(i + 1) * k].fill(0.0);
+                    }
+                }
+                (av, b.iter().map(|&(c, _)| c).collect())
+            };
             (Matrix::from_vec(m, k, av).unwrap(), Matrix::from_vec(k, n, bv).unwrap())
         })
     })

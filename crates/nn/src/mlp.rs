@@ -311,12 +311,14 @@ impl Mlp {
     }
 }
 
-/// In-place ReLU over an activation buffer.
-fn relu_slice(vals: &mut [f64]) {
+/// In-place ReLU over an activation buffer. Written as a select rather
+/// than a conditional store so it compiles branch-free: the input signs
+/// are random, and a branch on them mispredicts about half the time.
+/// Negatives become `+0.0`; NaN and `-0.0` pass through unchanged.
+// audit: no_alloc
+pub(crate) fn relu_slice(vals: &mut [f64]) {
     for v in vals {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 

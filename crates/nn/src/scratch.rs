@@ -32,7 +32,7 @@
 //!   `O(params)`, negligible next to the GEMMs).
 
 use crate::adam::AdamParams;
-use crate::mlp::{Activation, Mlp};
+use crate::mlp::{relu_slice, Activation, Mlp};
 use uadb_linalg::Matrix;
 
 /// Reusable training workspace: see the module docs. A scratch is not
@@ -362,11 +362,11 @@ fn row_phase(mlp: &Mlp, mut part: RowPart<'_>, loss: BatchLoss<'_>, b: f64) {
         } else if i == 0 {
             let (dst, _) = part.acts.split_at_mut(1);
             layer.forward_into(part.x0, rows, &mut *dst[0]);
-            relu_rows(&mut *dst[0]);
+            relu_slice(&mut *dst[0]);
         } else if i < last {
             let (src, dst) = part.acts.split_at_mut(i);
             layer.forward_into(&*src[i - 1], rows, &mut *dst[0]);
-            relu_rows(&mut *dst[0]);
+            relu_slice(&mut *dst[0]);
         } else {
             let (src, _) = part.acts.split_at_mut(i);
             layer.forward_into(&*src[i - 1], rows, &mut *part.output);
@@ -489,16 +489,6 @@ fn loss_sum(output: &[f64], loss: BatchLoss<'_>) -> f64 {
                 }
             }
             total
-        }
-    }
-}
-
-/// In-place ReLU over a row range.
-// audit: no_alloc
-fn relu_rows(vals: &mut [f64]) {
-    for v in vals {
-        if *v < 0.0 {
-            *v = 0.0;
         }
     }
 }

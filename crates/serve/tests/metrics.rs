@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uadb::UadbConfig;
 use uadb_data::synth::{fig5_dataset, AnomalyType};
 use uadb_detectors::DetectorKind;
@@ -59,6 +59,18 @@ fn spawn_with(model: &Arc<ServedModel>, config: ServerConfig) -> ServerHandle {
         .insert("default", Arc::clone(model), PoolConfig { workers: 2, shard_rows: 16 })
         .unwrap();
     Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()
+}
+
+/// Blocks until the server holds no open connection. A client's close
+/// frees its budget slot asynchronously, so a `max_connections: 1`
+/// server can still turn the next connection away with a 503 for a
+/// moment afterwards. Panics after a 10 s deadline.
+fn wait_for_idle(handle: &ServerHandle) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().open_connections() != 0 {
+        assert!(Instant::now() < deadline, "server never released its connection slots");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// One-shot `Connection: close` request; returns `(status, body)`.
@@ -338,56 +350,31 @@ fn over_budget_connections_count_as_rejections() {
 
         // Hold the whole budget with one idle keep-alive connection,
         // then connect again: 503, counted as an over-budget rejection.
-        // The slot freed by the probe above may lag a moment, so retry
-        // until a holder actually gets a 200 (rejected holders just add
-        // to the over-budget count this test asserts on).
-        let mut holder = None;
-        for _ in 0..50 {
-            let mut candidate = TcpStream::connect(addr).unwrap();
-            candidate.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            candidate
-                .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")
-                .unwrap();
-            let mut first = [0u8; 16];
-            let n = candidate.read(&mut first).unwrap();
-            if first[..n].starts_with(b"HTTP/1.1 200") {
-                holder = Some(candidate);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let holder = holder.expect("budget slot never admitted the holder");
+        // The probe above gives its slot back asynchronously, so wait
+        // for it before the holder connects.
+        wait_for_idle(&handle);
+        let mut holder = TcpStream::connect(addr).unwrap();
+        holder.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        holder.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n").unwrap();
+        let mut first = [0u8; 12];
+        holder.read_exact(&mut first).unwrap();
+        assert_eq!(&first, b"HTTP/1.1 200", "[{}] holder not admitted", io.name());
         let (status, _) = request(addr, "GET", "/healthz", None);
         assert_eq!(status, 503, "[{}]", io.name());
         drop(holder);
 
-        // Poll until the freed slot admits us again, then check both
-        // surfaces. (>= +1: other tests in this process may reject too.)
-        let mut after = None;
-        for _ in 0..50 {
-            std::thread::sleep(Duration::from_millis(20));
-            let stream = TcpStream::connect(addr);
-            let Ok(mut s) = stream else { continue };
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            if s.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nConnection: close\r\n\r\n").is_err() {
-                continue;
-            }
-            let mut body = String::new();
-            if BufReader::new(s).read_to_string(&mut body).is_err() {
-                continue;
-            }
-            if !body.starts_with("HTTP/1.1 200") {
-                continue;
-            }
-            let json_start = body.find("\r\n\r\n").unwrap() + 4;
-            after = json::parse(&body[json_start..])
-                .ok()
-                .and_then(|d| d.get("rejected_total").and_then(Value::as_f64));
-            break;
-        }
-        let after = after.expect("budget slot never released");
+        // Once the holder's slot is free, check both surfaces, waiting
+        // again before the scrape: a scrape that beats the release of
+        // the previous request's slot gets the 503 body instead. (>= +1:
+        // other tests in this process may reject too.)
+        wait_for_idle(&handle);
+        let (status, body) = request(addr, "GET", "/healthz", None);
+        assert_eq!(status, 200, "[{}]", io.name());
+        let after =
+            json::parse(&body).unwrap().get("rejected_total").and_then(Value::as_f64).unwrap();
         assert!(after >= before + 1.0, "[{}] rejected_total {before} -> {after}", io.name());
 
+        wait_for_idle(&handle);
         let (_, body) = request(addr, "GET", "/metrics", None);
         let series = parse_exposition(&body);
         let (_, rejected) =

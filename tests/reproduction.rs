@@ -1,6 +1,7 @@
 //! Reproduction-shape tests: scaled-down versions of the paper's
 //! headline claims that must hold for the repository to count as a
-//! faithful reproduction (EXPERIMENTS.md records the full-size runs).
+//! faithful reproduction (the `uadb_bench` binaries run the full-size
+//! versions; see README → Paper reproduction).
 
 use uadb::experiment::{run_pair_schemes, ExperimentConfig};
 use uadb::variance_probe::probe;
