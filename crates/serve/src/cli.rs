@@ -284,12 +284,17 @@ fn score(flags: &Flags) -> Result<(), CliError> {
             };
             read_csv_file(path, labels).map_err(|e| err(format!("reading {path}: {e}")))?.x
         }
-        (None, Some(text)) => {
-            let rows = json::parse(text).map_err(|e| err(format!("--json: {e}")))?;
-            let rows =
-                rows.as_array().ok_or_else(|| err("--json must be an array of row arrays"))?;
-            crate::http::rows_to_matrix(rows).map_err(err)?
-        }
+        (None, Some(text)) => match json::read_rows_array(text.as_bytes()) {
+            Some(x) => x,
+            // Not a canonical `[[…]]`: the generic parser says what is
+            // wrong with it.
+            None => {
+                let rows = json::parse(text).map_err(|e| err(format!("--json: {e}")))?;
+                let rows =
+                    rows.as_array().ok_or_else(|| err("--json must be an array of row arrays"))?;
+                crate::http::rows_to_matrix(rows).map_err(err)?
+            }
+        },
         (None, None) => return Err(err("pick an input: --csv FILE or --json '[[…]]'")),
     };
     let scores = served.score_rows(&x).map_err(|e| err(format!("scoring failed: {e}")))?;
@@ -422,7 +427,7 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     telemetry::metrics().set_slow_threshold_ms(slow_ms);
     let drift_warn = flags.parse_num("drift-warn-psi", f64::INFINITY)?;
     if drift_warn.is_finite() {
-        if !(drift_warn > 0.0) {
+        if drift_warn <= 0.0 {
             return Err(err("--drift-warn-psi must be positive (PSI alert bands start ~0.1)"));
         }
         telemetry::metrics().set_drift_warn_psi(drift_warn);

@@ -545,8 +545,9 @@ impl Response {
         }
     }
 
-    /// A non-JSON text response (the Prometheus exposition on
-    /// `/metrics`).
+    /// A response with a prebuilt text body: the Prometheus exposition
+    /// on `/metrics`, or a JSON score body written without a `Value`
+    /// tree.
     pub(crate) fn text(
         status: u16,
         reason: &'static str,
@@ -1286,7 +1287,9 @@ impl ScoreTask {
                 timer.add(Stage::QueueWait, timing.queue_ns);
                 timer.add(Stage::Score, timing.score_ns);
                 match result {
-                    Ok(scores) => single_ok_response(format, variant, &scores, drift.as_deref()),
+                    Ok(scores) => {
+                        single_ok_response(format, variant, &scores, drift.as_deref(), timer)
+                    }
                     Err(e) => {
                         metrics().record_score_error(&stats, tag, &e, timer.trace_id);
                         score_error(&e)
@@ -1312,7 +1315,9 @@ impl ScoreTask {
                 timer.add(Stage::QueueWait, b_timing.queue_ns);
                 timer.add(Stage::Score, b_timing.score_ns);
                 match booster {
-                    Ok(booster) => both_response(format, &booster, &teacher, drift.as_deref()),
+                    Ok(booster) => {
+                        both_response(format, &booster, &teacher, drift.as_deref(), timer)
+                    }
                     Err(e) => {
                         metrics().record_score_error(&stats, tag, &e, timer.trace_id);
                         score_error(&e)
@@ -1346,7 +1351,13 @@ impl ScoreTask {
                     timer.add(Stage::QueueWait, timing.queue_ns);
                     timer.add(Stage::Score, timing.score_ns);
                     let response = match result {
-                        Ok(scores) => single_ok_response(format, variant, &scores, drift.as_deref()),
+                        Ok(scores) => single_ok_response(
+                            format,
+                            variant,
+                            &scores,
+                            drift.as_deref(),
+                            &mut timer,
+                        ),
                         Err(e) => {
                             metrics().record_score_error(&stats, tag, &e, timer.trace_id);
                             score_error(&e)
@@ -1392,6 +1403,7 @@ impl ScoreTask {
                                                 &booster,
                                                 &teacher,
                                                 drift.as_deref(),
+                                                &mut timer,
                                             ),
                                             timer,
                                         ),
@@ -1406,11 +1418,17 @@ impl ScoreTask {
     }
 }
 
+/// A scored response in the request's wire format. Encoding runs on
+/// the thread that finished scoring, so it is timed here into the
+/// `serialize` stage. JSON bodies are written straight into one buffer,
+/// byte-identical to `json::to_string` of the same document (sorted
+/// keys, std `Display` numbers).
 fn single_ok_response(
     format: WireFormat,
     variant: Variant,
     scores: &[f64],
     drift: Option<&ModelDrift>,
+    timer: &mut RequestTimer,
 ) -> Response {
     // Only booster scores feed the live drift sketch: the training
     // baseline was built from booster-calibrated scores, so teacher
@@ -1420,25 +1438,32 @@ fn single_ok_response(
             d.record_scores(scores);
         }
     }
-    match format {
-        WireFormat::Json => Response::json(
-            200,
-            "OK",
-            &json::object([
-                ("scores", json::number_array(scores)),
-                ("n", Value::Number(scores.len() as f64)),
-                ("variant", Value::String(variant.name().to_string())),
-            ]),
-        ),
+    let t_encode = now_ns();
+    let response = match format {
+        WireFormat::Json => {
+            let mut body = String::with_capacity(64 + 24 * scores.len());
+            body.push_str("{\"n\":");
+            json::write_number(&mut body, scores.len() as f64);
+            body.push_str(",\"scores\":");
+            json::write_numbers(&mut body, scores);
+            body.push_str(",\"variant\":\"");
+            body.push_str(variant.name());
+            body.push_str("\"}");
+            Response::text(200, "OK", "application/json", body)
+        }
         WireFormat::Binary(dtype) => Response::binary(wire::encode_scores(dtype, &[scores])),
-    }
+    };
+    timer.add(Stage::Serialize, now_ns().saturating_sub(t_encode));
+    response
 }
 
+/// [`single_ok_response`] for `?variant=both`.
 fn both_response(
     format: WireFormat,
     booster: &[f64],
     teacher: &[f64],
     drift: Option<&ModelDrift>,
+    timer: &mut RequestTimer,
 ) -> Response {
     // Paired scores for the same rows are exactly the stream the
     // teacher–booster divergence gauges summarise — fed on both wire
@@ -1451,21 +1476,25 @@ fn both_response(
             d.observe_divergence(mean_abs, max_abs, n);
         }
     }
-    match format {
-        WireFormat::Json => Response::json(
-            200,
-            "OK",
-            &json::object([
-                ("booster", json::number_array(booster)),
-                ("teacher", json::number_array(teacher)),
-                ("n", Value::Number(booster.len() as f64)),
-                ("variant", Value::String("both".to_string())),
-            ]),
-        ),
+    let t_encode = now_ns();
+    let response = match format {
+        WireFormat::Json => {
+            let mut body = String::with_capacity(64 + 48 * booster.len());
+            body.push_str("{\"booster\":");
+            json::write_numbers(&mut body, booster);
+            body.push_str(",\"n\":");
+            json::write_number(&mut body, booster.len() as f64);
+            body.push_str(",\"teacher\":");
+            json::write_numbers(&mut body, teacher);
+            body.push_str(",\"variant\":\"both\"}");
+            Response::text(200, "OK", "application/json", body)
+        }
         WireFormat::Binary(dtype) => {
             Response::binary(wire::encode_scores(dtype, &[booster, teacher]))
         }
-    }
+    };
+    timer.add(Stage::Serialize, now_ns().saturating_sub(t_encode));
+    response
 }
 
 pub(crate) fn route(req: &Request, ctx: &RouteCtx) -> Routed {
@@ -1952,29 +1981,9 @@ fn score_routed(req: &Request, pool: Arc<ScoringPool>, query: Option<&str>, name
             Err(msg) => return Routed::Ready(Response::error(400, "Bad Request", &msg)),
         }
     } else {
-        let text = match std::str::from_utf8(&req.body) {
-            Ok(t) => t,
-            Err(_) => {
-                return Routed::Ready(Response::error(400, "Bad Request", "body is not UTF-8"))
-            }
-        };
-        let parsed = match json::parse(text) {
-            Ok(v) => v,
-            Err(e) => return Routed::Ready(Response::error(400, "Bad Request", &e.to_string())),
-        };
-        let rows = match parsed.get("rows").and_then(Value::as_array) {
-            Some(r) => r,
-            None => {
-                return Routed::Ready(Response::error(
-                    400,
-                    "Bad Request",
-                    "expected {\"rows\": [[...], ...]}",
-                ))
-            }
-        };
-        match rows_to_matrix(rows) {
+        match json_rows(&req.body) {
             Ok(m) => (m, WireFormat::Json),
-            Err(msg) => return Routed::Ready(Response::error(400, "Bad Request", &msg)),
+            Err(response) => return Routed::Ready(response),
         }
     };
     let tag = match select {
@@ -1989,6 +1998,27 @@ fn score_routed(req: &Request, pool: Arc<ScoringPool>, query: Option<&str>, name
     // Hand the parsed batch to the pool as-is: shards borrow row ranges
     // from this one shared allocation instead of copying.
     Routed::Score(ScoreTask { pool, batch: Arc::new(matrix), select, format, stats, tag, drift })
+}
+
+/// Decodes a JSON score body. Canonical bodies go through the rows
+/// reader straight into the matrix; any other body goes through
+/// [`json_rows_generic`], which answers it exactly as if the reader did
+/// not exist.
+fn json_rows(body: &[u8]) -> Result<Matrix, Response> {
+    json::read_rows(body).map_or_else(|| json_rows_generic(body), Ok)
+}
+
+/// The generic decode: a [`Value`] tree from `json::parse`, then
+/// [`rows_to_matrix`]. It owns every error status and message.
+fn json_rows_generic(body: &[u8]) -> Result<Matrix, Response> {
+    let bad = |msg: &str| Response::error(400, "Bad Request", msg);
+    let text = std::str::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
+    let doc = json::parse(text).map_err(|e| bad(&e.to_string()))?;
+    let rows = doc
+        .get("rows")
+        .and_then(Value::as_array)
+        .ok_or_else(|| bad("expected {\"rows\": [[...], ...]}"))?;
+    rows_to_matrix(rows).map_err(|msg| bad(&msg))
 }
 
 pub(crate) fn rows_to_matrix(rows: &[Value]) -> Result<Matrix, String> {
@@ -2137,5 +2167,127 @@ mod tests {
         assert_eq!(IoMode::default_for_host(), IoMode::Epoll);
         #[cfg(not(target_os = "linux"))]
         assert_eq!(IoMode::default_for_host(), IoMode::Threads);
+    }
+
+    /// Score bodies the rows reader must take itself: the canonical
+    /// shape with whitespace, exponent, sign and magnitude variants.
+    const CANONICAL_BODIES: &[&str] = &[
+        r#"{"rows": [[0.1, -0.25], [1e-3, 2.5E2]]}"#,
+        r#"{"rows":[[1,2,3]]}"#,
+        " \t\n{ \"rows\" :\r\n[ [ -0 , 0 ] , [ 1e+2 , -1E-2 ] ] } \n",
+        r#"{"rows": []}"#,
+        r#"{"rows": [[-0.0], [5e-324], [1.7976931348623157e308], [0.30000000000000004]]}"#,
+        r#"{"rows": [[123456789012345678901234567890, -1e-400]]}"#,
+    ];
+
+    /// Bodies outside the canonical shape, valid or not: the generic
+    /// path answers every one of them.
+    const OTHER_BODIES: &[&str] = &[
+        r#"{"rows": [[]]}"#,
+        r#"{"rows": [[1, 2]], "extra": true}"#,
+        r#"{"extra": "x", "rows": [[1, 2]]}"#,
+        r#"{"rows": [[1, 2]], "rows": [[3, 4], [5, 6]]}"#,
+        r#"{"rows": [[1, null]]}"#,
+        r#"{"rows": [[1, [2]]]}"#,
+        r#"{"rows": [[[1, 2]]]}"#,
+        r#"{"rows": [[1, 2], [3]]}"#,
+        r#"{"rows": [1, 2]}"#,
+        r#"{"rows": {}}"#,
+        r#"{"r\u006fws": [[1]]}"#,
+        r#"{"rows": [[1e999]]}"#,
+        r#"{"rows": [[01, .5]]}"#,
+        r#"{"rows": [[1, 2]]} trailing"#,
+        "[[1, 2], [3, 4]]",
+        "{}",
+        "",
+    ];
+
+    /// Bytes a flip draws from half the time: JSON structure, number
+    /// characters, and a byte that is never valid UTF-8.
+    const FLIP_ALPHABET: &[u8] = b"[]{},:\" \t\n-+.0123456789eEnul\xff";
+
+    /// The production decode against the generic `json::parse` +
+    /// `rows_to_matrix` oracle: the same status and body for every
+    /// rejection, bit-identical matrices for every acceptance. The bare
+    /// `[[…]]` reader the CLI uses is held to the same standard.
+    fn check_against_oracle(body: &[u8]) -> Result<(), String> {
+        let same = |a: &Matrix, b: &Matrix| {
+            a.rows() == b.rows()
+                && a.cols() == b.cols()
+                && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let shown = String::from_utf8_lossy(body);
+        match (json_rows(body), json_rows_generic(body)) {
+            (Ok(a), Ok(b)) if same(&a, &b) => {}
+            (Err(a), Err(b)) if a.status == b.status && a.body == b.body => {}
+            (a, b) => {
+                let outcome = |r: &Result<Matrix, Response>| match r {
+                    Ok(m) => format!("{}x{} matrix", m.rows(), m.cols()),
+                    Err(r) => format!("{} {}", r.status, String::from_utf8_lossy(&r.body)),
+                };
+                return Err(format!("{shown:?}: {} vs oracle {}", outcome(&a), outcome(&b)));
+            }
+        }
+        if let Some(a) = json::read_rows_array(body) {
+            let oracle = std::str::from_utf8(body)
+                .ok()
+                .and_then(|t| json::parse(t).ok())
+                .and_then(|doc| rows_to_matrix(doc.as_array()?).ok());
+            if !oracle.is_some_and(|b| same(&a, &b)) {
+                return Err(format!("{shown:?}: bare-array reader disagrees with the oracle"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rows_reader_takes_canonical_bodies_and_leaves_the_rest() {
+        for body in CANONICAL_BODIES {
+            assert!(json::read_rows(body.as_bytes()).is_some(), "fell back on {body:?}");
+        }
+        for body in OTHER_BODIES {
+            assert!(json::read_rows(body.as_bytes()).is_none(), "took {body:?}");
+        }
+        assert!(json::read_rows_array(b" [[1, 2], [3, 4]] ").is_some());
+    }
+
+    #[test]
+    fn rows_reader_matches_the_generic_decode_on_every_truncation() {
+        for body in CANONICAL_BODIES.iter().chain(OTHER_BODIES) {
+            for cut in 0..=body.len() {
+                check_against_oracle(&body.as_bytes()[..cut]).unwrap();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rows_reader_matches_the_generic_decode_on_byte_flips(
+            flips in proptest::collection::vec(
+                (0usize..4096, 0usize..FLIP_ALPHABET.len() + 256),
+                1..4,
+            ),
+            cut in 0usize..4096,
+        ) {
+            // The same flips (positions taken modulo the length) hit
+            // every seed body, whole and truncated.
+            for body in CANONICAL_BODIES.iter().chain(OTHER_BODIES) {
+                let mut bytes = body.as_bytes().to_vec();
+                if bytes.is_empty() {
+                    continue;
+                }
+                for &(at, pick) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] = match FLIP_ALPHABET.get(pick) {
+                        Some(&b) => b,
+                        None => (pick - FLIP_ALPHABET.len()) as u8,
+                    };
+                }
+                let r = check_against_oracle(&bytes);
+                proptest::prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+                let r = check_against_oracle(&bytes[..cut % (bytes.len() + 1)]);
+                proptest::prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+            }
+        }
     }
 }

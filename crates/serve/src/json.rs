@@ -3,15 +3,21 @@
 //! The build environment has no registry access, so instead of `serde`
 //! this module provides a small recursive-descent parser and writer for
 //! the handful of shapes the server exchanges (`{"rows": [[f64, …], …]}`
-//! in, `{"scores": [f64, …]}` out). Numbers round-trip exactly: the
-//! [`shortest`] formatter emits the shortest decimal representation
-//! that parses back to the same bits — byte-identical to Rust's `f64`
-//! `Display` (pinned by test against that oracle) but without routing
-//! every score through the `core::fmt` machinery — which is what lets
-//! the HTTP integration tests demand bit-identical scores.
+//! in, `{"scores": [f64, …]}` out). Numbers round-trip exactly: they are
+//! written with std `Display`, the shortest decimal that parses back to
+//! the same bits, which is what lets the HTTP integration tests demand
+//! bit-identical scores.
+//!
+//! Score traffic skips the [`Value`] tree in both directions.
+//! [`read_rows`] decodes a canonical `{"rows": [[…], …]}` body straight
+//! into a row-major [`Matrix`] with the parser's own number grammar, and
+//! returns `None` for anything else, so callers fall back to [`parse`],
+//! which owns every error message. Score responses are written straight
+//! into one buffer by [`write_numbers`].
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use uadb_linalg::Matrix;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +89,7 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -93,16 +99,54 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     Ok(v)
 }
 
+/// Reads a score request body, `{"rows": [[x, …], …]}`, straight into a
+/// row-major matrix (`{"rows": []}` is the empty matrix), with the same
+/// strict number grammar and finiteness check as [`parse`].
+///
+/// Only that canonical shape is read: `None` means "not canonical", not
+/// "invalid". Extra or repeated keys, escapes in the key, empty or
+/// ragged rows and non-number cells all return `None`, as do malformed
+/// and non-UTF-8 bodies. Callers then run [`parse`], whose result (or
+/// error) is authoritative.
+pub fn read_rows(input: &[u8]) -> Option<Matrix> {
+    Parser::new(std::str::from_utf8(input).ok()?).whole(|p| {
+        if !p.take(b'{') {
+            return None;
+        }
+        p.skip_ws();
+        if !p.bytes[p.pos..].starts_with(b"\"rows\"") {
+            return None;
+        }
+        p.pos += b"\"rows\"".len();
+        if !p.take(b':') {
+            return None;
+        }
+        let rows = p.rows()?;
+        p.take(b'}').then_some(rows)
+    })
+}
+
+/// [`read_rows`] for a bare `[[x, …], …]` document.
+pub fn read_rows_array(input: &[u8]) -> Option<Matrix> {
+    Parser::new(std::str::from_utf8(input).ok()?).whole(Parser::rows)
+}
+
 /// Maximum nesting depth accepted by [`parse`] (stack-safety guard for
 /// untrusted request bodies).
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
     fn err(&self, message: &'static str) -> JsonError {
         JsonError { offset: self.pos, message }
     }
@@ -146,7 +190,7 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number().map(Value::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
@@ -236,14 +280,13 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
+                    // Copy one UTF-8 scalar.
                     let start = self.pos;
                     let mut end = start + 1;
                     while end < self.bytes.len() && (self.bytes[end] & 0xc0) == 0x80 {
                         end += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).unwrap());
+                    out.push_str(&self.text[start..end]);
                     self.pos = end;
                 }
             }
@@ -282,56 +325,105 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         // Enforce the JSON grammar exactly (RFC 8259 §6): Rust's f64
         // parser is more lenient (`01`, `1.`, `.5`), and accepting those
         // here would silently diverge from every conforming peer.
         let start = self.pos;
         let invalid = JsonError { offset: start, message: "invalid number" };
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let b = self.bytes;
+        let digits = |mut i: usize| {
+            while i < b.len() && b[i].is_ascii_digit() {
+                i += 1;
+            }
+            i
+        };
+        let int_start = start + usize::from(b.get(start) == Some(&b'-'));
+        let mut i = digits(int_start);
+        // Bare "-", no integer part, or a leading zero ("01").
+        if i == int_start || (i - int_start > 1 && b[int_start] == b'0') {
+            return Err(invalid);
         }
-        match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-                if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    return Err(invalid); // leading zero (e.g. "01")
-                }
-            }
-            Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            _ => return Err(invalid), // bare "-" or no integer part
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let mut any = false;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-                any = true;
-            }
-            if !any {
+        if b.get(i) == Some(&b'.') {
+            let frac = i + 1;
+            i = digits(frac);
+            if i == frac {
                 return Err(invalid); // "1."
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
+        if matches!(b.get(i), Some(b'e' | b'E')) {
+            i += 1;
+            if matches!(b.get(i), Some(b'+' | b'-')) {
+                i += 1;
             }
-            let mut any = false;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-                any = true;
-            }
-            if !any {
+            let exp = i;
+            i = digits(exp);
+            if i == exp {
                 return Err(invalid); // "1e" / "1e+"
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().ok().filter(|v| v.is_finite()).map(Value::Number).ok_or(invalid)
+        self.pos = i;
+        self.text[start..i].parse::<f64>().ok().filter(|v| v.is_finite()).ok_or(invalid)
+    }
+
+    /// Skips whitespace, then consumes `b` if it comes next.
+    fn take(&mut self, b: u8) -> bool {
+        self.skip_ws();
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// `[[x, …], …]` of equally long, non-empty number rows, into one
+    /// row-major buffer; `None` on anything else.
+    fn rows(&mut self) -> Option<Matrix> {
+        if !self.take(b'[') {
+            return None;
+        }
+        if self.take(b']') {
+            return Some(Matrix::zeros(0, 0));
+        }
+        let (mut data, mut n_rows, mut width) = (Vec::new(), 0, 0);
+        loop {
+            let row_start = self.pos;
+            if !self.take(b'[') {
+                return None;
+            }
+            let first_cell = data.len();
+            loop {
+                self.skip_ws();
+                data.push(self.number().ok()?);
+                if self.take(b']') {
+                    break;
+                }
+                if !self.take(b',') {
+                    return None;
+                }
+            }
+            let cells = data.len() - first_cell;
+            if n_rows == 0 {
+                // Size the buffer for rows as long as the first one.
+                width = cells;
+                let row_bytes = self.pos - row_start + 1;
+                data.reserve(width * ((self.bytes.len() - self.pos) / row_bytes));
+            } else if cells != width {
+                return None;
+            }
+            n_rows += 1;
+            if self.take(b']') {
+                return Matrix::from_vec(n_rows, width, data).ok();
+            }
+            if !self.take(b',') {
+                return None;
+            }
+        }
+    }
+
+    /// Runs `read` over the whole input: only whitespace may follow.
+    fn whole<T>(mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let value = read(&mut self)?;
+        self.skip_ws();
+        (self.pos == self.bytes.len()).then_some(value)
     }
 }
 
@@ -347,15 +439,7 @@ fn write_value(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => {
-            if n.is_finite() {
-                // Shortest round-trip form; an integral value gets a
-                // trailing ".0"-free form, which is still valid JSON.
-                shortest::write_f64(out, *n);
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::Number(n) => write_number(out, *n),
         Value::String(s) => write_string(out, s),
         Value::Array(items) => {
             out.push('[');
@@ -382,6 +466,29 @@ fn write_value(out: &mut String, value: &Value) {
     }
 }
 
+/// Appends `x` in its shortest round-trip form (std `Display`: no
+/// exponent, and no trailing `.0` on integral values), or `null` when
+/// it is not finite, which JSON cannot represent.
+pub(crate) fn write_number(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `[x, …]`, each element as by [`write_number`].
+pub(crate) fn write_numbers(out: &mut String, xs: &[f64]) {
+    out.push('[');
+    for (i, &x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(out, x);
+    }
+    out.push(']');
+}
+
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -396,346 +503,6 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-pub(crate) mod shortest {
-    //! Shortest-round-trip `f64` → decimal formatter.
-    //!
-    //! Exact Steele & White digit generation (the algorithm behind
-    //! Grisu/Ryu's slow paths and Rust's own `flt2dec` Dragon fallback)
-    //! on a fixed-capacity big integer: for a finite `x = f × 2^e` it
-    //! tracks the scaled value `R/S` together with the half-ulp
-    //! boundaries `m⁻/S`, `m⁺/S` and emits decimal digits until the
-    //! generated prefix uniquely identifies `x` among all doubles —
-    //! i.e. the *shortest* decimal that parses back to the same bits,
-    //! with the final digit correctly rounded. No precomputed power
-    //! tables, no heap allocation, no `core::fmt` round-trip: all
-    //! arithmetic happens in one stack-allocated limb array sized for
-    //! the worst case (subnormal scaling needs ~1200 bits).
-    //!
-    //! The rendered text is pinned byte-identical to Rust's `Display`
-    //! (the previous implementation) by an oracle test, so JSON
-    //! responses are unchanged across the swap.
-
-    /// 24 × 64 = 1536 bits; the worst case (±half-ulp arithmetic for a
-    /// subnormal scaled by 10³²⁴ plus 18 digit-loop shifts) needs ~1200.
-    const LIMBS: usize = 24;
-
-    /// Fixed-capacity little-endian big unsigned integer.
-    #[derive(Clone, Copy)]
-    struct Big {
-        limbs: [u64; LIMBS],
-        /// Number of live limbs; limbs[len..] are zero.
-        len: usize,
-    }
-
-    impl Big {
-        fn from_u64(v: u64) -> Self {
-            let mut limbs = [0u64; LIMBS];
-            limbs[0] = v;
-            Self { limbs, len: usize::from(v != 0) }
-        }
-
-        /// `self <<= n` bits.
-        fn shl(&mut self, n: u32) {
-            let (limb_shift, bit_shift) = ((n / 64) as usize, n % 64);
-            if self.len == 0 {
-                return;
-            }
-            let new_len = self.len + limb_shift + 1;
-            debug_assert!(new_len <= LIMBS, "Big overflow in shl");
-            let mut i = new_len;
-            while i > 0 {
-                i -= 1;
-                let lo = i.checked_sub(limb_shift).map_or(0, |j| self.limbs[j]);
-                let hi = if bit_shift == 0 {
-                    0
-                } else {
-                    i.checked_sub(limb_shift + 1).map_or(0, |j| self.limbs[j] >> (64 - bit_shift))
-                };
-                self.limbs[i] = (lo << bit_shift) | hi;
-            }
-            self.len = new_len;
-            self.trim();
-        }
-
-        /// `self *= m` for any u64 multiplier.
-        fn mul_small(&mut self, m: u64) {
-            let mut carry: u128 = 0;
-            for i in 0..self.len {
-                let prod = u128::from(self.limbs[i]) * u128::from(m) + carry;
-                self.limbs[i] = prod as u64;
-                carry = prod >> 64;
-            }
-            while carry != 0 {
-                debug_assert!(self.len < LIMBS, "Big overflow in mul_small");
-                self.limbs[self.len] = carry as u64;
-                carry >>= 64;
-                self.len += 1;
-            }
-            self.trim();
-        }
-
-        /// `self *= 10^n` in 19-digit chunks (10¹⁹ fits a u64).
-        fn mul_pow10(&mut self, mut n: u32) {
-            const POW10: [u64; 20] = {
-                let mut t = [1u64; 20];
-                let mut i = 1;
-                while i < 20 {
-                    t[i] = t[i - 1] * 10;
-                    i += 1;
-                }
-                t
-            };
-            while n >= 19 {
-                self.mul_small(POW10[19]);
-                n -= 19;
-            }
-            if n > 0 {
-                self.mul_small(POW10[n as usize]);
-            }
-        }
-
-        fn trim(&mut self) {
-            while self.len > 0 && self.limbs[self.len - 1] == 0 {
-                self.len -= 1;
-            }
-        }
-
-        fn cmp(&self, other: &Big) -> std::cmp::Ordering {
-            if self.len != other.len {
-                return self.len.cmp(&other.len);
-            }
-            for i in (0..self.len).rev() {
-                if self.limbs[i] != other.limbs[i] {
-                    return self.limbs[i].cmp(&other.limbs[i]);
-                }
-            }
-            std::cmp::Ordering::Equal
-        }
-
-        /// `self += other`.
-        fn add(&mut self, other: &Big) {
-            let mut carry = false;
-            let n = self.len.max(other.len);
-            for i in 0..n {
-                let (s, c1) = self.limbs[i].overflowing_add(other.limbs[i]);
-                let (s, c2) = s.overflowing_add(u64::from(carry));
-                self.limbs[i] = s;
-                carry = c1 || c2;
-            }
-            self.len = n;
-            if carry {
-                debug_assert!(self.len < LIMBS, "Big overflow in add");
-                self.limbs[self.len] = 1;
-                self.len += 1;
-            }
-        }
-
-        /// `self -= other`; caller guarantees `self >= other`.
-        fn sub(&mut self, other: &Big) {
-            let mut borrow = false;
-            for i in 0..self.len {
-                let (d, b1) = self.limbs[i].overflowing_sub(other.limbs[i]);
-                let (d, b2) = d.overflowing_sub(u64::from(borrow));
-                self.limbs[i] = d;
-                borrow = b1 || b2;
-            }
-            debug_assert!(!borrow, "Big underflow in sub");
-            self.trim();
-        }
-    }
-
-    /// Largest digit count a shortest f64 representation needs.
-    const MAX_DIGITS: usize = 17;
-
-    /// Generates the shortest correctly-rounded digits of a finite,
-    /// positive `x`: returns `(digits, len, k)` with the value equal to
-    /// `0.d₁d₂…d_len × 10^k`.
-    fn digits(x: f64) -> ([u8; MAX_DIGITS + 1], usize, i32) {
-        debug_assert!(x.is_finite() && x > 0.0);
-        let bits = x.to_bits();
-        let exp_field = ((bits >> 52) & 0x7ff) as i32;
-        let frac = bits & ((1u64 << 52) - 1);
-        // x = f × 2^e with the hidden bit folded in for normal values.
-        let (f, e) =
-            if exp_field == 0 { (frac, -1074) } else { (frac | (1u64 << 52), exp_field - 1075) };
-        // Ties round to even significands, so an even `f` owns its
-        // half-ulp boundaries (closed interval) and an odd one does not.
-        let even = f & 1 == 0;
-        // The lower gap halves at a binade boundary (except at the very
-        // bottom, where the subnormal ulp equals the normal one).
-        let asym = frac == 0 && exp_field > 1;
-
-        // R/S = x, mp/S = upper half-gap, mm/S = lower half-gap.
-        let mut r = Big::from_u64(f);
-        let (mut s, mut mp, mut mm);
-        if e >= 0 {
-            if asym {
-                r.shl(e as u32 + 2);
-                s = Big::from_u64(4);
-                mp = Big::from_u64(2);
-                mp.shl(e as u32);
-                mm = Big::from_u64(1);
-                mm.shl(e as u32);
-            } else {
-                r.shl(e as u32 + 1);
-                s = Big::from_u64(2);
-                mp = Big::from_u64(1);
-                mp.shl(e as u32);
-                mm = mp;
-            }
-        } else if asym {
-            r.shl(2);
-            s = Big::from_u64(1);
-            s.shl((2 - e) as u32);
-            mp = Big::from_u64(2);
-            mm = Big::from_u64(1);
-        } else {
-            r.shl(1);
-            s = Big::from_u64(1);
-            s.shl((1 - e) as u32);
-            mp = Big::from_u64(1);
-            mm = mp;
-        }
-
-        // Estimate k = ceil(log10(x)) from the binary magnitude
-        // (1233/4096 ≈ log10(2)); a digit-position error in either
-        // direction is corrected below / by leading-zero stripping.
-        let log2x = 64 - f.leading_zeros() as i32 + e;
-        let mut k = ((i64::from(log2x) * 1233) >> 12) as i32 + 1;
-        if k > 0 {
-            s.mul_pow10(k as u32);
-        } else if k < 0 {
-            let scale = (-k) as u32;
-            r.mul_pow10(scale);
-            mp.mul_pow10(scale);
-            mm.mul_pow10(scale);
-        }
-        // Keep every generated digit in 0..=9.
-        while r.cmp(&s) != std::cmp::Ordering::Less {
-            s.mul_small(10);
-            k += 1;
-        }
-
-        let within = |a: &Big, b: &Big| {
-            let ord = a.cmp(b);
-            ord == std::cmp::Ordering::Less || (even && ord == std::cmp::Ordering::Equal)
-        };
-
-        let mut buf = [0u8; MAX_DIGITS + 1];
-        let mut n = 0usize;
-        loop {
-            r.mul_small(10);
-            mp.mul_small(10);
-            mm.mul_small(10);
-            // Digit by bounded repeated subtraction (R < 10·S).
-            let mut d = 0u8;
-            while r.cmp(&s) != std::cmp::Ordering::Less {
-                r.sub(&s);
-                d += 1;
-            }
-            // low: rounding the emitted prefix down stays within a
-            // half-gap of x; high: rounding up does.
-            let low = within(&r, &mm);
-            let high = {
-                let mut t = r;
-                t.add(&mp);
-                within(&s, &t)
-            };
-            debug_assert!(n < buf.len(), "shortest f64 exceeded 18 digits");
-            if !low && !high {
-                buf[n] = d;
-                n += 1;
-                continue;
-            }
-            // Terminal digit: pick the nearer of d / d+1 (round up on
-            // an exact tie, matching `flt2dec`).
-            let round_up = match (low, high) {
-                (true, false) => false,
-                (false, true) => true,
-                _ => {
-                    let mut t = r;
-                    t.shl(1);
-                    t.cmp(&s) != std::cmp::Ordering::Less
-                }
-            };
-            buf[n] = d;
-            n += 1;
-            if round_up {
-                let mut i = n;
-                loop {
-                    if i == 0 {
-                        // 999… rolled all the way over: value is 10^k.
-                        buf[0] = 1;
-                        n = 1;
-                        k += 1;
-                        break;
-                    }
-                    i -= 1;
-                    if buf[i] < 9 {
-                        buf[i] += 1;
-                        n = i + 1;
-                        break;
-                    }
-                    buf[i] = 0;
-                }
-            }
-            break;
-        }
-        // A high k estimate shows up as leading zeros; stripping them
-        // shifts the decimal point, never the value.
-        let lead = buf[..n].iter().take_while(|&&d| d == 0).count();
-        if lead > 0 {
-            buf.copy_within(lead..n, 0);
-            n -= lead;
-            k -= lead as i32;
-        }
-        while n > 1 && buf[n - 1] == 0 {
-            n -= 1;
-        }
-        (buf, n, k)
-    }
-
-    /// Appends the shortest round-trip decimal form of a finite `x`,
-    /// byte-identical to `format!("{x}")` (positional notation, no
-    /// exponent, integral values without a trailing `.0`).
-    pub(crate) fn write_f64(out: &mut String, x: f64) {
-        debug_assert!(x.is_finite());
-        if x.is_sign_negative() {
-            out.push('-');
-        }
-        if x == 0.0 {
-            out.push('0');
-            return;
-        }
-        let (buf, n, k) = digits(x.abs());
-        let digit = |d: u8| (b'0' + d) as char;
-        if k <= 0 {
-            out.push_str("0.");
-            for _ in 0..-k {
-                out.push('0');
-            }
-            for &d in &buf[..n] {
-                out.push(digit(d));
-            }
-        } else if (k as usize) >= n {
-            for &d in &buf[..n] {
-                out.push(digit(d));
-            }
-            for _ in 0..(k as usize - n) {
-                out.push('0');
-            }
-        } else {
-            for &d in &buf[..k as usize] {
-                out.push(digit(d));
-            }
-            out.push('.');
-            for &d in &buf[k as usize..n] {
-                out.push(digit(d));
-            }
-        }
-    }
 }
 
 /// Convenience: builds `{"key": value}` objects without importing
@@ -805,10 +572,10 @@ mod tests {
 
     #[test]
     fn number_grammar_is_strict_json() {
-        for ok in ["0", "-0.5", "1e5", "1E+3", "10.25e-2", "[0, 123]"] {
+        for ok in ["0", "-0", "-0.5", "0e5", "1e5", "1E+3", "10.25e-2", "[0, 123]"] {
             assert!(parse(ok).is_ok(), "rejected valid: {ok}");
         }
-        for bad in ["01", "1.", ".5", "-", "1e", "1e+", "+1", "0x10"] {
+        for bad in ["01", "-01", "1.", "1.e5", ".5", "-", "-a", "1e", "1e+", "+1", "0x10"] {
             assert!(parse(bad).is_err(), "accepted invalid: {bad}");
         }
     }
@@ -844,95 +611,6 @@ mod tests {
         assert_eq!(to_string(&Value::Number(f64::INFINITY)), "null");
     }
 
-    fn fmt_shortest(x: f64) -> String {
-        let mut out = String::new();
-        shortest::write_f64(&mut out, x);
-        out
-    }
-
-    #[test]
-    fn shortest_formatter_matches_display_on_adversarial_values() {
-        // Byte-identity with the previous `format!("{x}")` serialization
-        // is a wire contract: JSON responses must not change across the
-        // formatter swap. Cover zeros, subnormals, binade boundaries,
-        // famous round-trip troublemakers, and the extremes.
-        let cases: &[f64] = &[
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            3.0,
-            0.1,
-            0.2,
-            0.1 + 0.2,
-            1.0 / 3.0,
-            2.0 / 3.0,
-            0.5,
-            1.5,
-            2.5,
-            9.999999999999999,
-            1e16,
-            1e17,
-            123456789012345680.0,
-            f64::MIN_POSITIVE,
-            f64::MIN_POSITIVE / 2.0,
-            5e-324,
-            f64::MAX,
-            f64::MIN,
-            1.797e308,
-            -2.2250738585072014e-308,
-            2.0f64.powi(52),
-            2.0f64.powi(53),
-            2.0f64.powi(53) - 1.0,
-            2.0f64.powi(-1022),
-            1e300,
-            1e-300,
-            6.02e23,
-            std::f64::consts::PI,
-            std::f64::consts::E,
-            1.7976931348623157e308,
-            f64::from_bits(1),
-            // Binade boundaries (asymmetric lower gap).
-            2.0,
-            4.0,
-            2.0f64.powi(100),
-            2.0f64.powi(-100),
-            // Halfway-looking decimals.
-            0.3,
-            0.7,
-            0.070949,
-            123.456,
-            8.988465674311579e307,
-        ];
-        for &x in cases {
-            assert_eq!(fmt_shortest(x), format!("{x}"), "mismatch for {x:e}");
-        }
-    }
-
-    #[test]
-    fn shortest_formatter_matches_display_on_bit_pattern_sweep() {
-        // A deterministic wide sweep over the bit space: every exponent
-        // stratum gets pseudo-random mantissas (xorshift64*).
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-        };
-        let mut checked = 0usize;
-        for exp in 0..2047u64 {
-            for _ in 0..8 {
-                let bits = (exp << 52) | (next() & ((1u64 << 52) - 1)) | (next() & (1 << 63));
-                let x = f64::from_bits(bits);
-                assert!(x.is_finite());
-                assert_eq!(fmt_shortest(x), format!("{x}"), "mismatch for bits {bits:#x}");
-                checked += 1;
-            }
-        }
-        assert!(checked > 16_000);
-    }
-
     proptest::proptest! {
         #[test]
         fn formatted_f64_round_trips(
@@ -942,12 +620,11 @@ mod tests {
         ) {
             let bits = (u64::from(neg) << 63) | (exp << 52) | frac;
             let x = f64::from_bits(bits);
-            let text = fmt_shortest(x);
-            // parse() rejects "-0"? No: valid JSON. Round-trip must be
-            // bit-exact, and the text must match the Display oracle.
-            let back: f64 = text.parse().unwrap();
+            let text = to_string(&Value::Number(x));
+            // The writer's output is valid JSON that parses back to
+            // the same bits (`-0` included).
+            let back = parse(&text).unwrap().as_f64().unwrap();
             proptest::prop_assert_eq!(back.to_bits(), x.to_bits(), "via {}", &text);
-            proptest::prop_assert_eq!(&text, &format!("{x}"));
         }
     }
 }

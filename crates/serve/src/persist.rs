@@ -285,8 +285,9 @@ pub fn save_teacher_file(
 
 /// A decoded model file: whichever record type it holds.
 pub enum Record {
-    /// A distilled booster bundle.
-    Booster(ServedModel),
+    /// A distilled booster bundle (boxed: it is several times the size
+    /// of a teacher snapshot).
+    Booster(Box<ServedModel>),
     /// A fitted teacher snapshot.
     Teacher(TeacherModel),
 }
@@ -317,7 +318,7 @@ pub fn load_record<R: Read>(mut r: R) -> Result<Record, PersistError> {
     // Version 1 predates the record byte: the payload is a booster.
     let record = if version == 1 { RECORD_BOOSTER } else { read_u8(&mut r)? };
     match record {
-        RECORD_BOOSTER => Ok(Record::Booster(load_booster_payload(&mut r, version)?)),
+        RECORD_BOOSTER => Ok(Record::Booster(Box::new(load_booster_payload(&mut r, version)?))),
         RECORD_TEACHER => Ok(Record::Teacher(load_teacher_payload(&mut r)?)),
         _ => Err(PersistError::Corrupt("unknown record type")),
     }
@@ -333,7 +334,7 @@ pub fn load_record_file(path: impl AsRef<Path>) -> Result<Record, PersistError> 
 /// A teacher-snapshot file is refused with [`PersistError::WrongRecord`].
 pub fn load<R: Read>(r: R) -> Result<ServedModel, PersistError> {
     match load_record(r)? {
-        Record::Booster(model) => Ok(model),
+        Record::Booster(model) => Ok(*model),
         found => Err(PersistError::WrongRecord { expected: "booster", found: found.kind_name() }),
     }
 }
@@ -901,17 +902,13 @@ mod tests {
     fn corrupt_baseline_sections_are_rejected() {
         let m = tiny_model(20);
         let bytes = save_to_vec(&m);
-        let presence_at = bytes.len()
-            - TRAILER.len()
-            - (1 + 8 + 8 * uadb_telemetry::SCORE_BUCKETS + 8 + 8 + 8);
+        let presence_at =
+            bytes.len() - TRAILER.len() - (1 + 8 + 8 * uadb_telemetry::SCORE_BUCKETS + 8 + 8 + 8);
         assert_eq!(bytes[presence_at], 1);
         // Absurd bucket count: corruption, not an allocation request.
         let mut absurd = bytes.clone();
         absurd[presence_at + 1..presence_at + 9].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            load(&absurd[..]),
-            Err(PersistError::Corrupt("baseline bucket count"))
-        ));
+        assert!(matches!(load(&absurd[..]), Err(PersistError::Corrupt("baseline bucket count"))));
         // Invalid presence byte.
         let mut badflag = bytes.clone();
         badflag[presence_at] = 7;

@@ -234,12 +234,7 @@ pub struct DriftReport {
 }
 
 impl ModelDrift {
-    fn new(
-        name: Arc<str>,
-        means: &[f64],
-        stds: &[f64],
-        baseline: Option<&ModelBaseline>,
-    ) -> Self {
+    fn new(name: Arc<str>, means: &[f64], stds: &[f64], baseline: Option<&ModelBaseline>) -> Self {
         Self {
             name,
             live: ScoreSketch::new(),
@@ -326,7 +321,7 @@ impl ModelDrift {
             train_anomaly_rate: self.baseline.as_ref().map(|b| b.anomaly_rate),
             threshold,
             live_quantiles: quantiles(&live),
-            baseline_quantiles: baseline_snap.as_ref().map(|b| quantiles(b)),
+            baseline_quantiles: baseline_snap.as_ref().map(quantiles),
             feature_shifts,
             live_means: feats.means,
             train_means: self.train_means.clone(),
@@ -824,7 +819,11 @@ impl ServeMetrics {
 
     /// Folds one A/B response's paired scores into the streaming
     /// divergence estimate and refreshes the exported gauges.
-    pub fn observe_divergence(&self, booster: &[f64], teacher: &[f64]) -> Option<(f64, f64, usize)> {
+    pub fn observe_divergence(
+        &self,
+        booster: &[f64],
+        teacher: &[f64],
+    ) -> Option<(f64, f64, usize)> {
         let n = booster.len().min(teacher.len());
         if n == 0 {
             return None;
@@ -1062,7 +1061,10 @@ mod tests {
         assert!(text.contains("uadb_train_last_loss{model=\"train-obs-model\"} 0.5"));
         assert!(text.contains("# TYPE uadb_train_epochs_total counter"));
         // Gauge registration is idempotent per model name.
-        assert!(Arc::ptr_eq(&m.train_loss_gauge("train-obs-model"), &m.train_loss_gauge("train-obs-model")));
+        assert!(Arc::ptr_eq(
+            &m.train_loss_gauge("train-obs-model"),
+            &m.train_loss_gauge("train-obs-model")
+        ));
     }
 
     #[test]

@@ -13,14 +13,25 @@
 //!    bit-exactly (spot-checked constants below), and
 //! 2. re-serialising the loaded value reproduces the fixture **byte for
 //!    byte** (the format is canonical, so load∘save is the identity).
+//!
+//! The same directory pins the JSON wire format of `POST /score`:
+//! `score_booster.json` and `score_both.json` are the exact response
+//! bodies for [`GOLDEN_ROWS`] scored by the booster fixture, alone and
+//! with `variant=both` against the teacher fixture. Any change to how
+//! numbers or keys are written breaks the byte comparison.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
 use uadb::UadbConfig;
 use uadb_data::Dataset;
 use uadb_detectors::DetectorKind;
 use uadb_linalg::Matrix;
 use uadb_serve::model::ServedModel;
 use uadb_serve::persist;
+use uadb_serve::{IoMode, ModelRegistry, PoolConfig, Server, ServerConfig};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -126,4 +137,64 @@ fn golden_v2_fixtures_still_load() {
     let reloaded = persist::load(&upgraded[..]).unwrap();
     assert_eq!(reloaded.meta(), served.meta());
     assert!(reloaded.baseline().is_none());
+}
+
+/// Request rows for the response goldens: plain decimals, exponents in
+/// both cases, a negative zero, integers, and rows far outside the
+/// training range (their calibrated scores leave `[0, 1]`).
+const GOLDEN_ROWS: &str = "{\"rows\": [[0.1, -0.25], [1e-3, 2.5E2], [-0, 0], [3.75, -7.5], \
+     [1e6, -1e6], [-123.456, 0.000001], [0.5, 0.5], [7, -7]]}";
+
+/// One `Connection: close` POST; returns `(status, body)`.
+fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("response");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("head/body separator");
+    let status = head.split_whitespace().nth(1).expect("status").parse().expect("u16");
+    (status, body.to_string())
+}
+
+#[test]
+fn golden_score_responses_are_byte_identical() {
+    let dir = golden_dir();
+    let regen = std::env::var_os("UADB_REGEN_GOLDEN").is_some();
+    let mut backends = vec![IoMode::Threads];
+    if cfg!(target_os = "linux") {
+        backends.push(IoMode::Epoll);
+    }
+    for io in backends {
+        let registry = Arc::new(ModelRegistry::new());
+        registry
+            .insert_from_files(
+                "golden",
+                dir.join("booster.uadb"),
+                Some(dir.join("teacher.uadb")),
+                PoolConfig { workers: 2, shard_rows: 3 },
+            )
+            .unwrap();
+        let config = ServerConfig { io, ..ServerConfig::default() };
+        let handle = Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap();
+        for (path, fixture) in [
+            ("/score/golden", "score_booster.json"),
+            ("/score/golden?variant=both", "score_both.json"),
+        ] {
+            let (status, body) = post(handle.addr(), path, GOLDEN_ROWS);
+            assert_eq!(status, 200, "[{}] {path}: {body}", io.name());
+            let fixture = dir.join(fixture);
+            if regen {
+                std::fs::write(&fixture, &body).unwrap();
+            }
+            let expected = std::fs::read_to_string(&fixture).expect("response fixture missing");
+            assert_eq!(body, expected, "[{}] {path} drifted from {}", io.name(), fixture.display());
+        }
+        handle.shutdown();
+    }
 }

@@ -100,6 +100,17 @@ fn parse_scores(body: &str) -> Vec<f64> {
         .collect()
 }
 
+/// Blocks until the server holds at most `n` open connections: a
+/// client's close frees its budget slot asynchronously. Panics after a
+/// 10 s deadline.
+fn wait_for_open_at_most(handle: &ServerHandle, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().open_connections() > n {
+        assert!(Instant::now() < deadline, "server never released its connection slots");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Reads until the server hangs up, tolerating response bytes before
 /// the close. A connection reset *after* data was received counts as a
 /// close too (a hostile-path reject can always race a late client
@@ -381,22 +392,16 @@ fn idle_keepalive_connections_fill_the_budget_and_release_it() {
             assert_eq!(status, 200, "[{}] held connection {i} died: {body}", io.name());
         }
 
-        // Dropping one frees a slot for a newcomer.
+        // Dropping one frees a slot for a newcomer, once the server has
+        // noticed the close.
         drop(held.pop());
-        let mut admitted = false;
-        for _ in 0..50 {
-            std::thread::sleep(Duration::from_millis(20));
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            c.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            let mut reader = BufReader::new(c);
-            if read_response(&mut reader).0 == 200 {
-                admitted = true;
-                break;
-            }
-        }
-        assert!(admitted, "[{}] freed budget slot never reused", io.name());
+        wait_for_open_at_most(&handle, held.len());
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let (status, body) = read_response(&mut BufReader::new(c));
+        assert_eq!(status, 200, "[{}] freed budget slot not reused: {body}", io.name());
 
         handle.shutdown();
     }

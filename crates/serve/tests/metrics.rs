@@ -398,7 +398,10 @@ fn slow_ring_captures_requests_with_stage_breakdowns() {
         let handle = spawn_with(&served, ServerConfig { io, ..ServerConfig::default() });
         let addr = handle.addr();
 
-        let rows: Vec<usize> = (0..64).collect();
+        // Big enough that writing the JSON response is real work: std
+        // `Display` takes tens of ns per f64, so 4096 scores take well
+        // over 50 us on any host.
+        let rows: Vec<usize> = (0..4096).map(|i| i % data.x.rows()).collect();
         let (status, _) = request(addr, "POST", "/score", Some(&rows_json(&data.x, &rows)));
         assert_eq!(status, 200);
 
@@ -411,7 +414,7 @@ fn slow_ring_captures_requests_with_stage_breakdowns() {
         // model with per-stage timings that sum to at most the total.
         let scored = entries.iter().find(|e| {
             e.get("model").and_then(Value::as_str) == Some("default")
-                && e.get("rows").and_then(Value::as_f64) == Some(64.0)
+                && e.get("rows").and_then(Value::as_f64) == Some(4096.0)
         });
         let entry = scored.unwrap_or_else(|| panic!("[{}] no scored entry: {body}", io.name()));
         assert_eq!(entry.get("variant").and_then(Value::as_str), Some("booster"));
@@ -421,6 +424,14 @@ fn slow_ring_captures_requests_with_stage_breakdowns() {
         let stages = entry.get("stages_ms").expect("stages_ms");
         let score_ms = stages.get("score").and_then(Value::as_f64).unwrap_or(0.0);
         assert!(score_ms <= total, "[{}] score {score_ms} > total {total}", io.name());
+        // The response is encoded on the thread that finished scoring;
+        // that time belongs to the serialize stage, not between stages.
+        let serialize_ms = stages.get("serialize").and_then(Value::as_f64).unwrap_or(0.0);
+        assert!(
+            serialize_ms >= 0.05,
+            "[{}] serialize stage {serialize_ms} ms misses the response encode",
+            io.name()
+        );
 
         handle.shutdown();
     }

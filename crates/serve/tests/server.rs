@@ -12,7 +12,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uadb::UadbConfig;
 use uadb_data::synth::{fig5_dataset, AnomalyType};
 use uadb_detectors::DetectorKind;
@@ -56,6 +56,17 @@ fn spawn_with(model: &Arc<ServedModel>, config: ServerConfig) -> ServerHandle {
         .insert("default", Arc::clone(model), PoolConfig { workers: 2, shard_rows: 16 })
         .unwrap();
     Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()
+}
+
+/// Blocks until the server holds at most `n` open connections: a
+/// client's close frees its budget slot asynchronously. Panics after a
+/// 10 s deadline.
+fn wait_for_open_at_most(handle: &ServerHandle, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().open_connections() > n {
+        assert!(Instant::now() < deadline, "server never released its connection slots");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// A parsed HTTP response.
@@ -628,20 +639,14 @@ fn connection_budget_rejects_excess_clients_with_503() {
         assert_eq!(r.connection.as_deref(), Some("close"));
         assert!(c.at_eof());
 
-        // Releasing a slot lets new clients in again (poll briefly: the
-        // server needs a moment to notice the close).
+        // Releasing a slot lets new clients in again, once the server
+        // has noticed the close.
         drop(a);
-        let mut ok = false;
-        for _ in 0..50 {
-            std::thread::sleep(Duration::from_millis(20));
-            let mut d = Client::connect(addr);
-            d.send("GET", "/healthz", None, true);
-            if d.read_response().status == 200 {
-                ok = true;
-                break;
-            }
-        }
-        assert!(ok, "[{}] budget slot was never released", io.name());
+        wait_for_open_at_most(&handle, 1);
+        let mut d = Client::connect(addr);
+        d.send("GET", "/healthz", None, true);
+        let r = d.read_response();
+        assert_eq!(r.status, 200, "[{}] freed budget slot not reused: {}", io.name(), r.body);
 
         handle.shutdown();
     }
