@@ -30,7 +30,7 @@ use uadb_linalg::Matrix;
 use uadb_serve::json::{self, Value};
 use uadb_serve::model::ServedModel;
 use uadb_serve::pool::PoolConfig;
-use uadb_serve::{IoMode, ModelRegistry, Server, ServerConfig, ServerHandle};
+use uadb_serve::{ModelRegistry, Server, ServerConfig, ServerHandle};
 
 fn samples() -> usize {
     if std::env::var("UADB_BENCH_SMOKE").is_ok_and(|v| v == "1") {
@@ -41,17 +41,13 @@ fn samples() -> usize {
 }
 
 /// Shard counts to bench: `UADB_BENCH_SHARDS` (comma-separated) or
-/// {1, min(4, cores), cores} deduplicated. Only the epoll backend
-/// shards, so non-Linux hosts run the 1-shard column only.
+/// {1, min(4, cores), cores} deduplicated.
 fn shard_counts() -> Vec<usize> {
     if let Ok(list) = std::env::var("UADB_BENCH_SHARDS") {
         return list
             .split(',')
             .map(|s| s.trim().parse().expect("UADB_BENCH_SHARDS: comma-separated integers"))
             .collect();
-    }
-    if !cfg!(target_os = "linux") {
-        return vec![1];
     }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut counts = vec![1, cores.min(4), cores];
@@ -146,16 +142,13 @@ fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
 }
 
 fn spawn_server(model: &Arc<ServedModel>, shards: usize) -> ServerHandle {
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .insert("default", Arc::clone(model), PoolConfig { workers: 2, shard_rows: 1024 })
-        .unwrap();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 1024 }));
+    registry.insert("default", Arc::clone(model)).unwrap();
     let config = ServerConfig {
         max_connections: 64,
         max_requests_per_conn: 1_000_000,
         idle_timeout: Duration::from_secs(60),
         io_timeout: Duration::from_secs(30),
-        io: IoMode::default_for_host(),
         shards,
     };
     Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()

@@ -5,7 +5,7 @@
 //! the binary is a thin shell over [`crate::model`], [`crate::persist`]
 //! and [`crate::http`].
 
-use crate::http::{IoMode, Server, ServerConfig};
+use crate::http::{Server, ServerConfig};
 use crate::json;
 use crate::model::ServedModel;
 use crate::persist;
@@ -36,7 +36,7 @@ USAGE:
   uadb-serve serve --model [NAME=]FILE[,TEACHER_FILE] [--model ...] [--default NAME]
                    [--addr HOST:PORT] [--workers N] [--shard-rows N]
                    [--max-conns N] [--max-requests N] [--idle-timeout-ms N]
-                   [--io threads|epoll] [--shards N]
+                   [--shards N]
                    [--log-level error|warn|info|debug]
                    [--log-json] [--slow-ms N] [--drift-warn-psi T]
   uadb-serve info  --model FILE
@@ -54,18 +54,18 @@ SUBCOMMANDS:
           trained weights for every value.
   score   Load a model file and score rows from a CSV file or an inline
           JSON array of rows; writes `row,score` CSV to stdout or --out.
-  serve   Serve one or more model files over keep-alive HTTP/1.1.
-          --model is repeatable; NAME=FILE registers FILE under NAME (a bare
-          FILE is registered as `default`), and FILE,TEACHER_FILE attaches a
-          teacher snapshot so POST /score/NAME?variant=teacher|booster|both
-          serves the paper's comparison live. Bare POST /score routes to the
-          default model (--default NAME overrides; otherwise the first
-          --model). --io picks the connection backend: `epoll` (Linux
-          default) drives every socket from N sharded event loops so
-          --max-conns can grow past thread counts; `threads` (non-Linux
-          default) is the portable one-thread-per-connection fallback.
-          --shards N runs N epoll reactor shards (default: min(cores,
-          scoring workers); ignored by --io threads). POST /score also
+  serve   Serve one or more model files over keep-alive HTTP/1.1 (Linux
+          only). --model is repeatable; NAME=FILE registers FILE under NAME
+          (a bare FILE is registered as `default`), and FILE,TEACHER_FILE
+          attaches a teacher snapshot so
+          POST /score/NAME?variant=teacher|booster|both serves the paper's
+          comparison live. Bare POST /score routes to the default model
+          (--default NAME overrides; otherwise the first --model). Every
+          model scores on one process-wide set of --workers threads
+          (default: one per core), in shards of at most --shard-rows rows.
+          Connections are driven by N sharded epoll event loops, so
+          --max-conns can grow past thread counts; --shards N sets N
+          (default: min(cores, scoring workers)). POST /score also
           accepts the binary row payload (Content-Type:
           application/x-uadb-rows; see README wire-protocol spec) and
           answers with raw little-endian scores. Endpoints:
@@ -354,7 +354,7 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         workers: flags.parse_num("workers", 0usize)?,
         shard_rows: flags.parse_num("shard-rows", PoolConfig::default().shard_rows)?,
     };
-    let registry = Arc::new(ModelRegistry::new());
+    let registry = Arc::new(ModelRegistry::new(pool_cfg.clone()));
     let mut first_name: Option<String> = None;
     for value in model_flags {
         let (name, path, teacher) = parse_model_flag(value)?;
@@ -362,7 +362,7 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
             return Err(err(format!("model name `{name}` given twice")));
         }
         registry
-            .insert_from_files(name, path, teacher, pool_cfg.clone())
+            .insert_from_files(name, path, teacher)
             .map_err(|e| err(format!("loading {path}: {e}")))?;
         first_name.get_or_insert_with(|| name.to_string());
     }
@@ -376,15 +376,10 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         .map_err(|_| err(format!("--default {default_name} does not name a --model")))?;
 
     let defaults = ServerConfig::default();
-    let io = match flags.get("io") {
-        None => defaults.io,
-        Some(name) => IoMode::from_name(name)
-            .ok_or_else(|| err(format!("--io must be threads|epoll, got `{name}`")))?,
-    };
     // `--shards 0` (the default) auto-sizes to min(cores, scoring
     // workers): more reactor loops than cores just contend, and more
     // than scoring workers cannot be fed. Explicit values are taken
-    // as-is. The threaded backend ignores the knob.
+    // as-is.
     let shards = match flags.parse_num("shards", 0usize)? {
         0 => {
             let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -400,7 +395,6 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
             flags.parse_num("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?,
         ),
         io_timeout: defaults.io_timeout,
-        io,
         shards,
     };
     if server_cfg.max_connections == 0 || server_cfg.max_requests_per_conn == 0 {
@@ -436,12 +430,8 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let server = Server::bind(addr, Arc::clone(&registry), server_cfg)
         .map_err(|e| err(format!("binding {addr}: {e}")))?;
-    let backend_desc = match io {
-        IoMode::Epoll => format!("{} backend, {} shard(s)", io.name(), shards),
-        IoMode::Threads => format!("{} backend", io.name()),
-    };
     println!(
-        "serving {} model(s) [default: {default_name}] on http://{} ({backend_desc})",
+        "serving {} model(s) [default: {default_name}] on http://{} (epoll, {shards} shard(s))",
         registry.len(),
         server.local_addr().map_err(|e| err(e.to_string()))?,
     );

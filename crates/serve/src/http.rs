@@ -1,11 +1,11 @@
-//! HTTP/1.1 scoring server with persistent connections, multi-model
-//! routing, and pluggable I/O backends.
+//! HTTP/1.1 scoring server with persistent connections and multi-model
+//! routing, served by an epoll reactor (Linux only).
 //!
 //! Endpoints:
 //!
 //! * `POST /score` — score against the registry's default model; body
 //!   `{"rows": [[f64, …], …]}`, response `{"scores": [f64, …], "n": k}`.
-//!   Scores go through the model's shared [`ScoringPool`], so they match
+//!   Scores go through the model's [`ScoringPool`], so they match
 //!   in-process [`crate::model::ServedModel::score_rows`] bit for bit.
 //!   With `Content-Type: application/x-uadb-rows` the body is instead
 //!   the length-prefixed binary row payload ([`wire`]): a 16-byte
@@ -29,36 +29,28 @@
 //!   connections.
 //! * `POST /admin/teacher/{name}` — attach (or replace) a frozen
 //!   teacher snapshot at runtime from `{"path": "..."}`; the same
-//!   kind/width validation as startup applies before any pool swaps.
+//!   kind/width validation as startup applies before the entry swaps.
 //! * `DELETE /admin/teacher/{name}` — detach the teacher again.
-//! * `GET /healthz` — liveness plus live serving stats: backend name,
-//!   open connections vs. budget, per-model score-request counters.
+//! * `GET /healthz` — liveness plus live serving stats: backend name
+//!   (always `epoll`), open connections vs. budget, per-model
+//!   score-request counters.
 //!
-//! # Architecture: sans-io core, pluggable connection drivers
+//! # Architecture: sans-io core, one reactor
 //!
 //! Request parsing ([`parse_request`]) and response serialization
 //! ([`Response::serialize_into`]) are pure functions over byte buffers
 //! — no sockets, no blocking, no timeouts. Routing ([`route`]) maps a
-//! parsed request to either a finished [`Response`] or a [`ScoreTask`]
-//! that can run blocking (thread-per-connection backend) or be
-//! submitted to the scoring pool with a completion callback (epoll
-//! reactor). Everything socket-shaped lives in a [`ConnectionDriver`]:
-//!
-//! * [`IoMode::Threads`] — one handler thread per connection, blocking
-//!   reads with idle/io timeouts. Portable; the non-Linux default.
-//! * [`IoMode::Epoll`] — `crate::reactor`: N independent edge-triggered
-//!   epoll shard loops (`ServerConfig::shards`, Linux only, the Linux
-//!   default), each owning its accepted sockets, slab, timer wheel and
-//!   wakeup pipe. With `SO_REUSEPORT` every shard gets its own
-//!   listener on the shared address and the kernel load-balances
-//!   accepts; without it, shard 0 accepts and hands connections off
-//!   round-robin over the other shards' wake pipes. Connection budgets
-//!   are no longer bounded by how many threads the host tolerates.
-//!
-//! Both drivers share the parser, the router, the serializer, the
-//! connection budget and the keep-alive/idle/max-requests semantics, so
-//! their responses are byte-identical — the invariant the integration
-//! suite pins by running against both.
+//! parsed request to either a finished [`Response`] or a [`ScoreTask`],
+//! which is submitted to the scoring pool with a completion callback.
+//! Everything socket-shaped lives in `crate::reactor`: N independent
+//! edge-triggered epoll shard loops (`ServerConfig::shards`), each
+//! owning its accepted sockets, slab, timer wheel and wakeup pipe. With
+//! `SO_REUSEPORT` every shard gets its own listener on the shared
+//! address and the kernel load-balances accepts; without it, shard 0
+//! accepts and hands connections off round-robin over the other shards'
+//! wake pipes. Connection budgets are not bounded by how many threads
+//! the host tolerates. Off Linux there is no epoll, and
+//! [`Server::bind`] fails with [`io::ErrorKind::Unsupported`].
 //!
 //! Connection model: HTTP/1.1 keep-alive semantics — `Connection:
 //! close` / `keep-alive` honoured per protocol version, a cap on
@@ -69,22 +61,23 @@
 //! ([`ServerConfig::max_connections`]); over-budget clients get an
 //! immediate `503` with `Connection: close`. Request heads and bodies
 //! are size-capped before any allocation happens, and the CPU-heavy
-//! scoring itself runs on each model's fixed worker pool, so the I/O
-//! layer stays I/O-bound.
+//! scoring itself runs on the registry's one fixed set of scoring
+//! threads, so the I/O layer stays I/O-bound.
 
 use crate::json::{self, Value};
 use crate::model::{ScoreError, ServedModel, Variant};
-use crate::pool::{PoolConfig, ScoreTiming, ScoringPool};
+use crate::pool::{PoolConfig, ScoringPool};
+#[cfg(target_os = "linux")]
+use crate::reactor::run as run_reactor;
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::telemetry::{
     metrics, DriftReport, ModelDrift, ModelStats, RejectReason, RequestTimer, Stage, VariantTag,
 };
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -96,60 +89,8 @@ pub(crate) const MAX_HEAD: usize = 16 * 1024;
 /// Upper bound on request body.
 pub(crate) const MAX_BODY: usize = 64 * 1024 * 1024;
 /// Consecutive accept failures tolerated before the listener is declared
-/// dead and the driver returns the error.
+/// dead and the reactor returns the error.
 pub(crate) const MAX_ACCEPT_FAILURES: u32 = 100;
-
-/// Which I/O backend drives client connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// One blocking handler thread per connection (portable).
-    Threads,
-    /// Single-threaded epoll readiness loop (Linux only).
-    Epoll,
-}
-
-impl IoMode {
-    /// The default backend for this host: epoll on Linux, threads
-    /// elsewhere.
-    pub fn default_for_host() -> Self {
-        if cfg!(target_os = "linux") {
-            IoMode::Epoll
-        } else {
-            IoMode::Threads
-        }
-    }
-
-    /// Parses a `--io` flag value.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(IoMode::Threads),
-            "epoll" => Some(IoMode::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The flag/metrics name of the backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        }
-    }
-
-    /// Instantiates the backend, or errors on hosts that lack it.
-    fn driver(self) -> io::Result<Box<dyn ConnectionDriver>> {
-        match self {
-            IoMode::Threads => Ok(Box::new(ThreadedDriver)),
-            #[cfg(target_os = "linux")]
-            IoMode::Epoll => Ok(Box::new(crate::reactor::EpollDriver)),
-            #[cfg(not(target_os = "linux"))]
-            IoMode::Epoll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the epoll backend requires Linux; use --io threads",
-            )),
-        }
-    }
-}
 
 /// Connection-layer tuning.
 #[derive(Debug, Clone)]
@@ -167,13 +108,10 @@ pub struct ServerConfig {
     /// a stalled or silent client frees its resources instead of
     /// pinning them.
     pub io_timeout: Duration,
-    /// Which I/O backend drives connections.
-    pub io: IoMode,
     /// Epoll reactor shards: independent event loops, each with its own
     /// epoll instance, accept path (`SO_REUSEPORT` when available) and
-    /// timer wheel, all sharing the connection budget and scoring
-    /// pools. `0`/`1` means one loop (the pre-shard behaviour); the
-    /// threaded backend ignores the field. The CLI defaults this to
+    /// timer wheel, all sharing the connection budget and the scoring
+    /// threads. `0`/`1` means one loop. The CLI defaults this to
     /// `min(cores, workers)`.
     pub shards: usize,
 }
@@ -185,16 +123,15 @@ impl Default for ServerConfig {
             max_requests_per_conn: 1000,
             idle_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
-            io: IoMode::default_for_host(),
             shards: 1,
         }
     }
 }
 
-/// Cooperative stop flag with backend-registered wakers — the threaded
-/// backend polls the flag per request, each epoll reactor shard
-/// registers a closure that writes its own wakeup pipe so a shutdown
-/// interrupts every shard's `epoll_wait` immediately.
+/// Cooperative stop flag with registered wakers: each reactor shard
+/// checks the flag at the top of its loop and registers a closure that
+/// writes its own wakeup pipe, so a shutdown interrupts every shard's
+/// `epoll_wait` immediately.
 pub struct StopSignal {
     flag: AtomicBool,
     wakers: Mutex<Vec<Box<dyn Fn() + Send>>>,
@@ -226,33 +163,27 @@ impl StopSignal {
     }
 
     /// Registers a closure `trigger` calls to interrupt a blocked
-    /// backend (e.g. writing a reactor shard's wakeup pipe). Every
-    /// registered waker fires; shards each register their own.
+    /// reactor shard (by writing its wakeup pipe). Every registered
+    /// waker fires; shards each register their own.
     pub fn add_waker(&self, waker: Box<dyn Fn() + Send>) {
         self.wakers.lock().unwrap_or_else(|e| e.into_inner()).push(waker);
     }
 }
 
-/// Live serving counters shared between the driver (which maintains
+/// Live serving counters shared between the reactor (which maintains
 /// them) and the router (which reports them on `GET /healthz`).
 pub struct ServerStats {
-    backend: &'static str,
     max_connections: usize,
     shards: usize,
     open: AtomicUsize,
 }
 
 impl ServerStats {
-    fn new(backend: &'static str, max_connections: usize, shards: usize) -> Self {
-        Self { backend, max_connections, shards, open: AtomicUsize::new(0) }
+    fn new(max_connections: usize, shards: usize) -> Self {
+        Self { max_connections, shards, open: AtomicUsize::new(0) }
     }
 
-    /// The active backend's name (`"threads"` / `"epoll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    /// Reactor shard count (1 on the threaded backend).
+    /// Reactor shard count.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -267,7 +198,7 @@ impl ServerStats {
         self.max_connections
     }
 
-    /// Claims a connection slot; the driver calls this on accept.
+    /// Claims a connection slot; the reactor calls this on accept.
     pub(crate) fn conn_opened(&self) {
         self.open.fetch_add(1, Ordering::SeqCst);
         let m = metrics();
@@ -275,7 +206,7 @@ impl ServerStats {
         m.open_connections.inc();
     }
 
-    /// Releases a connection slot; the driver calls this on close.
+    /// Releases a connection slot; the reactor calls this on close.
     pub(crate) fn conn_closed(&self) {
         self.open.fetch_sub(1, Ordering::SeqCst);
         let m = metrics();
@@ -284,34 +215,18 @@ impl ServerStats {
     }
 }
 
-/// Everything a connection driver needs to serve: the routing registry,
+/// Everything a reactor shard needs to serve: the routing registry,
 /// tuning, shared stats, and the stop signal.
-pub struct DriverCtx {
+#[derive(Clone)]
+pub(crate) struct ServeCtx {
     /// Models to route over.
-    pub registry: Arc<ModelRegistry>,
+    pub(crate) registry: Arc<ModelRegistry>,
     /// Connection-layer tuning.
-    pub cfg: ServerConfig,
+    pub(crate) cfg: ServerConfig,
     /// Live counters, reported by `GET /healthz`.
-    pub stats: Arc<ServerStats>,
+    pub(crate) stats: Arc<ServerStats>,
     /// Cooperative shutdown.
-    pub stop: Arc<StopSignal>,
-}
-
-/// A connection I/O backend: owns the accept loop and every client
-/// socket, feeding bytes through the shared sans-io parser/router and
-/// writing the serialized responses back out. Implementations must
-/// honour the budget, keep-alive, idle-timeout and max-requests
-/// semantics of [`ServerConfig`] identically — the integration suite
-/// runs against every backend and expects byte-identical responses.
-pub trait ConnectionDriver: Send {
-    /// Backend name (matches [`IoMode::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Serves until the stop signal triggers or the listener dies.
-    /// `listeners` is never empty; the epoll backend may receive one
-    /// listener per shard (an `SO_REUSEPORT` group bound to the same
-    /// address), the threaded backend only ever uses the first.
-    fn run(&self, listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()>;
+    pub(crate) stop: Arc<StopSignal>,
 }
 
 /// A bound scoring server (not yet accepting). `listeners[0]` is the
@@ -323,8 +238,7 @@ pub struct Server {
     cfg: ServerConfig,
 }
 
-/// Handle to a server running on a background thread (used by the CLI's
-/// foreground mode indirectly and by tests directly).
+/// Handle to a server running on a background thread.
 pub struct ServerHandle {
     addr: SocketAddr,
     registry: Arc<ModelRegistry>,
@@ -336,45 +250,33 @@ pub struct ServerHandle {
 impl Server {
     /// Binds the listener(s) over a model registry.
     ///
-    /// A multi-shard epoll config tries to bind one `SO_REUSEPORT`
-    /// listener per shard so the kernel load-balances accepts across
-    /// the shard loops. Every socket in the group — including the
-    /// first — must set the option *before* bind, which is why the
-    /// primary goes through the raw-socket helper too. If the option
-    /// is unavailable (or any bind in the group fails), serving falls
-    /// back to a single listener; shard 0 then hands accepted
-    /// connections off round-robin.
+    /// A multi-shard config tries to bind one `SO_REUSEPORT` listener
+    /// per shard so the kernel load-balances accepts across the shard
+    /// loops. Every socket in the group — including the first — must
+    /// set the option *before* bind, which is why the primary goes
+    /// through the raw-socket helper too. If the option is unavailable
+    /// (or any bind in the group fails), serving falls back to a single
+    /// listener; shard 0 then hands accepted connections off
+    /// round-robin. Off Linux this fails with
+    /// [`io::ErrorKind::Unsupported`]: the server runs on epoll.
     pub fn bind(
         addr: impl ToSocketAddrs,
         registry: Arc<ModelRegistry>,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
-        // Fail at bind time, not at run time, when the configured
-        // backend does not exist on this host.
-        cfg.io.driver()?;
-        let mut listeners = Vec::new();
-        #[cfg(target_os = "linux")]
-        if cfg.io == IoMode::Epoll
-            && cfg.shards > 1
-            && std::env::var_os("UADB_SERVE_NO_REUSEPORT").is_none()
-        {
-            listeners = bind_reuseport_group(&addr, cfg.shards);
-        }
-        if listeners.is_empty() {
-            listeners.push(TcpListener::bind(addr)?);
-        }
+        let listeners = bind_listeners(addr, cfg.shards)?;
         Ok(Server { listeners, registry, cfg })
     }
 
     /// Convenience: binds a single-model server, registering `model`
-    /// under the name `"default"` with its own scoring pool.
+    /// under the name `"default"` on a registry sized by `pool_cfg`.
     pub fn bind_single(
         addr: impl ToSocketAddrs,
         model: Arc<ServedModel>,
         pool_cfg: PoolConfig,
     ) -> io::Result<Server> {
-        let registry = Arc::new(ModelRegistry::new());
-        registry.insert("default", model, pool_cfg).expect("\"default\" is a valid registry name");
+        let registry = Arc::new(ModelRegistry::new(pool_cfg));
+        registry.insert("default", model).expect("\"default\" is a valid registry name");
         Self::bind(addr, registry, ServerConfig::default())
     }
 
@@ -388,38 +290,36 @@ impl Server {
         &self.registry
     }
 
-    fn parts(self) -> io::Result<(Vec<TcpListener>, Box<dyn ConnectionDriver>, DriverCtx)> {
-        let driver = self.cfg.io.driver()?;
-        let shards = if self.cfg.io == IoMode::Epoll { self.cfg.shards.max(1) } else { 1 };
-        let stats = Arc::new(ServerStats::new(driver.name(), self.cfg.max_connections, shards));
-        let ctx = DriverCtx {
+    fn into_parts(self) -> (Vec<TcpListener>, ServeCtx) {
+        let shards = self.cfg.shards.max(1);
+        let ctx = ServeCtx {
+            stats: Arc::new(ServerStats::new(self.cfg.max_connections, shards)),
             registry: self.registry,
             cfg: self.cfg,
-            stats,
             stop: Arc::new(StopSignal::new()),
         };
-        Ok((self.listeners, driver, ctx))
+        (self.listeners, ctx)
     }
 
-    /// Accepts connections forever on the calling thread.
+    /// Serves on the calling thread until the listener dies.
     pub fn run(self) -> io::Result<()> {
-        let (listeners, driver, ctx) = self.parts()?;
-        driver.run(listeners, ctx)
+        let (listeners, ctx) = self.into_parts();
+        run_reactor(listeners, ctx)
     }
 
-    /// Runs the configured backend on a background thread and returns a
-    /// handle that can stop it.
+    /// Runs the reactor on a background thread and returns a handle
+    /// that can stop it.
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let (listeners, driver, ctx) = self.parts()?;
+        let (listeners, ctx) = self.into_parts();
         let registry = Arc::clone(&ctx.registry);
         let stop = Arc::clone(&ctx.stop);
         let stats = Arc::clone(&ctx.stats);
         let thread =
             std::thread::Builder::new().name("uadb-serve-io".to_string()).spawn(move || {
-                if let Err(e) = driver.run(listeners, ctx) {
+                if let Err(e) = run_reactor(listeners, ctx) {
                     let err = e.to_string();
-                    logger().log(Level::Error, "http", "I/O driver failed", &[("error", &err)]);
+                    logger().log(Level::Error, "http", "reactor failed", &[("error", &err)]);
                 }
             })?;
         Ok(ServerHandle { addr, registry, stop, stats, thread: Some(thread) })
@@ -442,43 +342,59 @@ impl ServerHandle {
         &self.stats
     }
 
-    /// Stops the backend and joins the server thread. The threaded
-    /// backend answers at most one more request per connection with
-    /// `Connection: close`; the reactor tears down on its next wakeup.
+    /// Stops the reactor and joins the server thread. The stop signal
+    /// writes every shard's wakeup pipe, so each shard tears down on
+    /// its next loop turn.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.stop.trigger();
-        // Unblock a backend stuck in accept/epoll_wait. Connecting to
-        // the *bound* address would hang forever for 0.0.0.0/::
-        // (unspecified addresses are not routable connect targets on
-        // every platform), so aim at the loopback of the same family
-        // and port instead.
-        let _ = TcpStream::connect_timeout(&unblock_addr(self.addr), Duration::from_secs(1));
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-/// The address used to wake up the backend during shutdown: the bound
-/// address, with an unspecified IP (`0.0.0.0` / `::`) replaced by the
-/// loopback of the same family.
-fn unblock_addr(bound: SocketAddr) -> SocketAddr {
-    let ip = match bound.ip() {
-        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, bound.port())
-}
-
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+/// Binds the listener group: one `SO_REUSEPORT` listener per shard when
+/// the whole group binds (`UADB_SERVE_NO_REUSEPORT` forces the
+/// fallback, for tests), else a single std listener.
+#[cfg(target_os = "linux")]
+fn bind_listeners(addr: impl ToSocketAddrs, shards: usize) -> io::Result<Vec<TcpListener>> {
+    if shards > 1 && std::env::var_os("UADB_SERVE_NO_REUSEPORT").is_none() {
+        let group = bind_reuseport_group(&addr, shards);
+        if !group.is_empty() {
+            return Ok(group);
+        }
+    }
+    Ok(vec![TcpListener::bind(addr)?])
+}
+
+/// Off Linux there is no epoll, so there is no server: binding fails,
+/// and no [`Server`] exists to run.
+#[cfg(not(target_os = "linux"))]
+fn no_epoll() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        "uadb-serve's HTTP server runs on an epoll reactor and needs Linux",
+    )
+}
+
+#[cfg(not(target_os = "linux"))]
+fn bind_listeners(_addr: impl ToSocketAddrs, _shards: usize) -> io::Result<Vec<TcpListener>> {
+    Err(no_epoll())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn run_reactor(_listeners: Vec<TcpListener>, _ctx: ServeCtx) -> io::Result<()> {
+    Err(no_epoll())
 }
 
 /// Binds `shards` `SO_REUSEPORT` listeners to one address, or an empty
@@ -578,9 +494,8 @@ impl Response {
     }
 
     /// Appends the serialized response (status line, headers, body) to
-    /// `out` — pure buffer work, shared by every backend. Appending
-    /// rather than overwriting is what lets a pipelined burst batch all
-    /// its responses into one flush.
+    /// `out` — pure buffer work. The reactor uses it for the one-shot
+    /// answers it writes straight to a socket (503, 408).
     pub(crate) fn serialize_into(&self, out: &mut Vec<u8>, close: bool) {
         out.extend_from_slice(self.head(close).as_bytes());
         out.extend_from_slice(&self.body);
@@ -910,120 +825,10 @@ fn trim_cr(line: &[u8]) -> &[u8] {
     }
 }
 
-// ====================== threaded connection driver ====================
-
-/// The classic thread-per-connection backend: blocking reads with
-/// idle/io socket timeouts, one handler thread per client.
-pub(crate) struct ThreadedDriver;
-
-impl ConnectionDriver for ThreadedDriver {
-    fn name(&self) -> &'static str {
-        IoMode::Threads.name()
-    }
-
-    fn run(&self, listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()> {
-        // The threaded backend never shards accepts: one blocking
-        // listener. Extra listeners are only ever created for epoll.
-        let Some(listener) = listeners.into_iter().next() else {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "no listener"));
-        };
-        let ctx = Arc::new(ctx);
-        let mut consecutive_failures = 0u32;
-        for conn in listener.incoming() {
-            if ctx.stop.is_stopped() {
-                break;
-            }
-            match conn {
-                Ok(stream) => {
-                    consecutive_failures = 0;
-                    // Connection budget: never spawn more handler
-                    // threads than configured. Over-budget clients get
-                    // a fast, best-effort 503 on the accept thread
-                    // (bounded by a short write timeout) rather than a
-                    // silent reset.
-                    if ctx.stats.open_connections() >= ctx.cfg.max_connections {
-                        reject_over_budget(stream);
-                        continue;
-                    }
-                    let guard = ConnGuard::enter(&ctx.stats);
-                    let conn_ctx = Arc::clone(&ctx);
-                    let spawned = std::thread::Builder::new()
-                        .name("uadb-serve-conn".to_string())
-                        .spawn(move || {
-                            let _guard = guard;
-                            handle_connection(stream, &conn_ctx);
-                        });
-                    // A failed spawn drops the guard, releasing the slot.
-                    if let Err(e) = spawned {
-                        let err = e.to_string();
-                        logger().log(
-                            Level::Error,
-                            "http",
-                            "spawning connection handler failed",
-                            &[("error", &err)],
-                        );
-                    }
-                }
-                Err(e) => {
-                    // Transient accept errors (aborted handshake, EMFILE
-                    // under fd pressure) shed the connection and keep
-                    // serving; the backoff keeps an exhaustion burst from
-                    // spinning this loop hot. A long unbroken run of
-                    // failures means the listener itself is dead — exit
-                    // with the error so a supervisor can restart us.
-                    consecutive_failures += 1;
-                    if consecutive_failures >= MAX_ACCEPT_FAILURES {
-                        return Err(e);
-                    }
-                    let err = e.to_string();
-                    logger().log(Level::Warn, "http", "accept failed", &[("error", &err)]);
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// RAII slot in the connection budget.
-struct ConnGuard {
-    stats: Arc<ServerStats>,
-}
-
-impl ConnGuard {
-    fn enter(stats: &Arc<ServerStats>) -> Self {
-        stats.conn_opened();
-        Self { stats: Arc::clone(stats) }
-    }
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.stats.conn_closed();
-    }
-}
-
-pub(crate) fn reject_over_budget(stream: TcpStream) {
-    // This runs inline on the accept thread, so it must not block on a
-    // hostile peer at all: ONE nonblocking read drains a typical
-    // already-arrived request so the close after the 503 sends a clean
-    // FIN (dropping a socket with unread input raises an RST that can
-    // race ahead of the response), and the ~130-byte 503 always fits a
-    // fresh socket's send buffer. A client still streaming gets its
-    // RST after all. If the socket cannot even be made nonblocking,
-    // just drop it.
-    let mut stream = stream;
-    if stream.set_nonblocking(true).is_ok() {
-        let mut scratch = [0u8; 16 * 1024];
-        let _ = stream.read(&mut scratch);
-        let mut out = Vec::new();
-        over_budget_response().serialize_into(&mut out, true);
-        let _ = stream.write(&out);
-    }
-}
+// ======================== canned rejections ===========================
 
 /// The 503 an over-budget client gets. Constructing it *is* the
-/// rejection — both backends build it only on that path — so the
+/// rejection — the reactor builds it only on that path — so the
 /// rejection counter lives here rather than at each call site.
 pub(crate) fn over_budget_response() -> Response {
     metrics().reject(RejectReason::OverBudget);
@@ -1037,166 +842,8 @@ pub(crate) fn truncated_response() -> Response {
     Response::error(400, "Bad Request", "truncated request")
 }
 
-/// A socket timeout that is always *set*: `set_read_timeout(Some(ZERO))`
-/// is an error in std (its result is deliberately discarded here), so a
-/// zero configured duration would silently mean **no timeout at all** —
-/// a silent client could then pin its handler thread and budget slot
-/// forever. Clamp to 1ms instead: the closest honest reading of
-/// "timeout: 0".
-fn effective_timeout(d: Duration) -> Duration {
-    d.max(Duration::from_millis(1))
-}
-
-/// One connection, one thread: read into a buffer, drain every request
-/// the buffer holds through the shared parser/router, serialize all
-/// their responses into one write buffer, flush once per burst.
-fn handle_connection(mut stream: TcpStream, ctx: &DriverCtx) {
-    let cfg = &ctx.cfg;
-    let peer = stream.peer_addr().ok();
-    let log_write_failed = |e: &io::Error| {
-        if let Some(p) = peer {
-            let peer = p.to_string();
-            let err = e.to_string();
-            logger().log(Level::Debug, "http", "write failed", &[("peer", &peer), ("error", &err)]);
-        }
-    };
-    let _ = stream.set_write_timeout(Some(effective_timeout(cfg.io_timeout)));
-    let mut rbuf: Vec<u8> = Vec::with_capacity(4096);
-    let mut wbuf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut served = 0usize;
-    // Read-stage timestamps of the request currently arriving (0 =
-    // unset): when its first byte landed, and when its header block
-    // completed. Maintained at the existing read/parse transitions, so
-    // the stage split costs two clock reads per request.
-    let mut t_first = 0u64;
-    let mut t_head = 0u64;
-    'conn: loop {
-        // Drain the pipelined burst already buffered: every complete
-        // request is routed and its response appended to one write
-        // buffer, flushed once below.
-        let mut rpos = 0usize;
-        loop {
-            match parse_request(&rbuf[rpos..]) {
-                Parse::Partial { head_complete } => {
-                    if head_complete && t_head == 0 {
-                        t_head = now_ns();
-                    }
-                    break;
-                }
-                Parse::Bad(msg) => {
-                    Response::error(400, "Bad Request", &msg).serialize_into(&mut wbuf, true);
-                    let _ = stream.write_all(&wbuf);
-                    break 'conn;
-                }
-                Parse::Unsupported(msg) => {
-                    Response::error(501, "Not Implemented", &msg).serialize_into(&mut wbuf, true);
-                    let _ = stream.write_all(&wbuf);
-                    break 'conn;
-                }
-                Parse::Complete { request, consumed } => {
-                    rpos += consumed;
-                    served += 1;
-                    let t_parsed = now_ns();
-                    let mut timer =
-                        RequestTimer::start(if t_first != 0 { t_first } else { t_parsed });
-                    if t_first != 0 {
-                        let head_done = if t_head != 0 { t_head } else { t_parsed };
-                        timer.add(Stage::HeadRead, head_done.saturating_sub(t_first));
-                        timer.add(Stage::BodyRead, t_parsed.saturating_sub(head_done));
-                    }
-                    // The next pipelined request (if the buffer holds
-                    // one) is considered to start now.
-                    t_first = t_parsed;
-                    t_head = 0;
-                    // Close after this response if the client asked for
-                    // it, the per-connection request budget is spent,
-                    // or the server is shutting down.
-                    let close = !request.keep_alive
-                        || served >= cfg.max_requests_per_conn
-                        || ctx.stop.is_stopped();
-                    let route_ctx = RouteCtx { registry: &ctx.registry, stats: &ctx.stats };
-                    let routed = route(&request, &route_ctx);
-                    timer.add(Stage::Parse, now_ns().saturating_sub(t_parsed));
-                    let response = match routed {
-                        Routed::Ready(r) => r,
-                        Routed::Score(task) => task.run_blocking(&mut timer),
-                    };
-                    let t_ser = now_ns();
-                    response.serialize_into(&mut wbuf, close);
-                    timer.add(Stage::Serialize, now_ns().saturating_sub(t_ser));
-                    timer.finish(response.status);
-                    if close {
-                        let t_flush = now_ns();
-                        if let Err(e) = stream.write_all(&wbuf) {
-                            log_write_failed(&e);
-                        }
-                        metrics().record_stage(Stage::WriteFlush, now_ns().saturating_sub(t_flush));
-                        break 'conn;
-                    }
-                }
-            }
-        }
-        rbuf.drain(..rpos);
-        if rbuf.is_empty() {
-            // No partial request pending: the next request's first-byte
-            // clock starts at its actual read.
-            t_first = 0;
-            t_head = 0;
-        }
-        if !wbuf.is_empty() {
-            let t_flush = now_ns();
-            if let Err(e) = stream.write_all(&wbuf) {
-                log_write_failed(&e);
-                break;
-            }
-            metrics().record_stage(Stage::WriteFlush, now_ns().saturating_sub(t_flush));
-            wbuf.clear();
-        }
-        // Between requests the connection may idle up to `idle_timeout`;
-        // once the first bytes of a request have landed, the stricter
-        // `io_timeout` governs the rest of the head and the body.
-        let timeout = if rbuf.is_empty() { cfg.idle_timeout } else { cfg.io_timeout };
-        let _ = stream.set_read_timeout(Some(effective_timeout(timeout)));
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Peer closed. Mid-request that is a truncated request,
-                // answered best-effort; between requests it is a clean
-                // close.
-                if !rbuf.is_empty() {
-                    let mut out = Vec::new();
-                    truncated_response().serialize_into(&mut out, true);
-                    let _ = stream.write_all(&out);
-                }
-                break;
-            }
-            Ok(n) => {
-                if t_first == 0 {
-                    t_first = now_ns();
-                }
-                rbuf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if rbuf.is_empty() {
-                    // Idle keep-alive connection ran out its grace
-                    // period: close quietly.
-                    break;
-                }
-                // Slow-loris: a request started but stalled mid-head or
-                // mid-body. Answer and close rather than pinning the
-                // thread.
-                let mut out = Vec::new();
-                stalled_response().serialize_into(&mut out, true);
-                let _ = stream.write_all(&out);
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// The answer both backends give a connection whose request stalled
-/// mid-transfer past the io timeout. Counted as a `stalled` rejection.
+/// The answer a connection gets when its request stalled mid-transfer
+/// past the io timeout. Counted as a `stalled` rejection.
 pub(crate) fn stalled_response() -> Response {
     metrics().reject(RejectReason::Stalled);
     Response::error(408, "Request Timeout", "request stalled mid-transfer")
@@ -1211,8 +858,7 @@ pub(crate) struct RouteCtx<'a> {
 }
 
 /// Routing outcome: either a finished response, or a scoring task the
-/// backend runs its own way (blocking thread vs. pool submission with a
-/// completion callback).
+/// reactor submits to the pool with a completion callback.
 pub(crate) enum Routed {
     /// The response is ready now.
     Ready(Response),
@@ -1249,90 +895,16 @@ pub(crate) struct ScoreTask {
     drift: Option<Arc<ModelDrift>>,
 }
 
-/// Blocks on one pool submission and hands back both the result and
-/// the pool's queue/score timing split.
-fn score_blocking(
-    pool: &ScoringPool,
-    batch: &Arc<Matrix>,
-    variant: Variant,
-) -> (Result<Vec<f64>, ScoreError>, ScoreTiming) {
-    let (tx, rx) = channel();
-    pool.submit(
-        batch,
-        variant,
-        Box::new(move |result, timing| {
-            let _ = tx.send((result, timing));
-        }),
-    );
-    rx.recv().unwrap_or((Err(ScoreError::WorkerPanicked), ScoreTiming::default()))
-}
-
 impl ScoreTask {
-    /// Scores on the calling thread (threaded backend): blocks on the
-    /// pool like any other in-process caller. Queue-wait and scoring
-    /// time are folded into `timer` (for `both`, the two submissions
-    /// accumulate).
-    pub(crate) fn run_blocking(self, timer: &mut RequestTimer) -> Response {
-        let ScoreTask { pool, batch, select, format, stats, tag, drift } = self;
-        timer.set_scored(Arc::clone(&stats.name), tag, batch.rows());
-        // Raw feature rows feed the drift window regardless of variant
-        // or outcome: the question "what traffic is this model seeing"
-        // is independent of which scores the caller asked for.
-        if let Some(d) = &drift {
-            d.record_rows(&batch);
-        }
-        match select {
-            VariantSelect::Single(variant) => {
-                let (result, timing) = score_blocking(&pool, &batch, variant);
-                timer.add(Stage::QueueWait, timing.queue_ns);
-                timer.add(Stage::Score, timing.score_ns);
-                match result {
-                    Ok(scores) => {
-                        single_ok_response(format, variant, &scores, drift.as_deref(), timer)
-                    }
-                    Err(e) => {
-                        metrics().record_score_error(&stats, tag, &e, timer.trace_id);
-                        score_error(&e)
-                    }
-                }
-            }
-            VariantSelect::Both => {
-                // Teacher first: a booster-only model 404s before any
-                // booster cycles are spent. Both sides score the same
-                // shared batch, so the pair is row-aligned by
-                // construction.
-                let (teacher, t_timing) = score_blocking(&pool, &batch, Variant::Teacher);
-                timer.add(Stage::QueueWait, t_timing.queue_ns);
-                timer.add(Stage::Score, t_timing.score_ns);
-                let teacher = match teacher {
-                    Ok(s) => s,
-                    Err(e) => {
-                        metrics().record_score_error(&stats, tag, &e, timer.trace_id);
-                        return score_error(&e);
-                    }
-                };
-                let (booster, b_timing) = score_blocking(&pool, &batch, Variant::Booster);
-                timer.add(Stage::QueueWait, b_timing.queue_ns);
-                timer.add(Stage::Score, b_timing.score_ns);
-                match booster {
-                    Ok(booster) => {
-                        both_response(format, &booster, &teacher, drift.as_deref(), timer)
-                    }
-                    Err(e) => {
-                        metrics().record_score_error(&stats, tag, &e, timer.trace_id);
-                        score_error(&e)
-                    }
-                }
-            }
-        }
-    }
-
     /// Submits the scoring work to the pool and returns immediately;
     /// `done` fires exactly once with the finished response and the
     /// request's timer (queue/score stages already folded in), on a
     /// pool worker thread (the reactor's completion callback enqueues
     /// it and writes the wakeup pipe). `both` chains teacher → booster
-    /// through the pool without ever blocking a thread.
+    /// through the pool without ever blocking a thread: teacher first,
+    /// so a booster-only model 404s before any booster cycles are
+    /// spent, and both sides score the same shared batch, so the pair
+    /// is row-aligned by construction.
     pub(crate) fn run_async(
         self,
         mut timer: RequestTimer,
@@ -1340,6 +912,9 @@ impl ScoreTask {
     ) {
         let ScoreTask { pool, batch, select, format, stats, tag, drift } = self;
         timer.set_scored(Arc::clone(&stats.name), tag, batch.rows());
+        // Raw feature rows feed the drift window regardless of variant
+        // or outcome: the question "what traffic is this model seeing"
+        // is independent of which scores the caller asked for.
         if let Some(d) = &drift {
             d.record_rows(&batch);
         }
@@ -1369,7 +944,6 @@ impl ScoreTask {
             VariantSelect::Both => {
                 let pool2 = Arc::clone(&pool);
                 let batch2 = Arc::clone(&batch);
-                // Teacher first, exactly like the blocking path.
                 pool.submit(
                     &batch,
                     Variant::Teacher,
@@ -1571,7 +1145,7 @@ fn healthz(ctx: &RouteCtx) -> Response {
             ("status", Value::String("ok".to_string())),
             ("models", Value::Number(ctx.registry.len() as f64)),
             ("default", ctx.registry.default_name().map(Value::String).unwrap_or(Value::Null)),
-            ("backend", Value::String(ctx.stats.backend().to_string())),
+            ("backend", Value::String("epoll".to_string())),
             ("shards", Value::Number(ctx.stats.shards() as f64)),
             ("open_connections", Value::Number(ctx.stats.open_connections() as f64)),
             ("max_connections", Value::Number(ctx.stats.max_connections() as f64)),
@@ -2155,18 +1729,6 @@ mod tests {
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text[first_len..].starts_with("HTTP/1.1 400 Bad Request\r\n"));
         assert!(text[first_len..].contains("Connection: close\r\n"));
-    }
-
-    #[test]
-    fn io_mode_names_round_trip() {
-        for mode in [IoMode::Threads, IoMode::Epoll] {
-            assert_eq!(IoMode::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(IoMode::from_name("uring"), None);
-        #[cfg(target_os = "linux")]
-        assert_eq!(IoMode::default_for_host(), IoMode::Epoll);
-        #[cfg(not(target_os = "linux"))]
-        assert_eq!(IoMode::default_for_host(), IoMode::Threads);
     }
 
     /// Score bodies the rows reader must take itself: the canonical

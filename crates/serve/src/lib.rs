@@ -10,7 +10,9 @@
 //!    `std::io::{Read, Write}`; loads reproduce scoring bit-identically.
 //! 2. **Batch scoring engine** — [`pool::ScoringPool`] shards request
 //!    batches across a fixed `std::thread` worker set; per-row math makes
-//!    the output independent of sharding and scheduling.
+//!    the output independent of sharding and scheduling. Many pools can
+//!    share one worker set: the server scores every model it serves on
+//!    one process-wide set.
 //! 3. **Scoring server + CLI** — [`http::Server`] speaks HTTP/1.1 with
 //!    **persistent connections** (keep-alive, idle timeout, bounded
 //!    connection budget, pipelined-burst batched writes), routing `POST
@@ -22,15 +24,14 @@
 //!    `train`/`score`/`serve`/`info` subcommands to the existing
 //!    teachers and datasets. Request parsing and response
 //!    serialization are **sans-io** functions over byte buffers,
-//!    driven by one of two interchangeable [`http::ConnectionDriver`]
-//!    backends: classic thread-per-connection
-//!    ([`http::IoMode::Threads`]), or the [`reactor`] — a
-//!    single-threaded **epoll** readiness loop (Linux default,
-//!    `serve --io epoll`) that owns every client socket, so the
-//!    connection budget scales past thread counts.
+//!    driven by the `reactor`: N sharded **epoll** readiness loops
+//!    that own every client socket, so the connection budget scales
+//!    past thread counts. The server is Linux-only; elsewhere
+//!    [`http::Server::bind`] returns [`std::io::ErrorKind::Unsupported`].
 //! 4. **Multi-model routing** — [`registry::ModelRegistry`] holds N
-//!    named models, each with its own pool, behind one port, with
-//!    atomic hot reload that never drops in-flight connections.
+//!    named models behind one port, all scored on one worker set, with
+//!    atomic hot reload that never drops in-flight connections and
+//!    never spawns or joins a thread.
 //! 5. **Teacher/booster A/B** — a served name can carry the *frozen
 //!    fitted teacher* next to its distilled booster:
 //!    [`model::TeacherModel`] wraps a detector snapshot (see
@@ -73,6 +74,11 @@
 //! For the HTTP layer see [`http::Server`] and `examples/serve_and_score.rs`
 //! at the workspace root.
 
+// Off Linux the reactor is compiled out, and with it the only caller of
+// the router, the request parser and the wire codecs; `Server::bind`
+// reports `Unsupported` there.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
+
 pub mod cli;
 pub mod http;
 pub mod json;
@@ -84,10 +90,7 @@ pub mod reactor;
 pub mod registry;
 pub mod telemetry;
 
-pub use http::{
-    ConnectionDriver, DriverCtx, IoMode, Server, ServerConfig, ServerHandle, ServerStats,
-    StopSignal,
-};
+pub use http::{Server, ServerConfig, ServerHandle, ServerStats, StopSignal};
 pub use model::{ModelMeta, ScoreError, ScoreWorkspace, ServedModel, TeacherModel, Variant};
 pub use persist::{
     load, load_file, load_record, load_record_file, load_teacher, load_teacher_file, save,

@@ -1,4 +1,4 @@
-//! Fixed-size worker pool sharding score batches across cores.
+//! Scoring workers that shard score batches across cores.
 //!
 //! The ensemble forward pass is embarrassingly parallel across rows:
 //! every score depends only on its own row (standardisation, matmuls and
@@ -7,10 +7,15 @@
 //! with **bit-identical** results to a serial pass — the property the
 //! shard-independence test in `tests/server.rs` pins down.
 //!
-//! Workers are `std::thread`s living as long as the pool, pulling jobs
-//! from a shared queue (work stealing via `Mutex<Receiver>`); each job
-//! carries a shared batch-completion state, so concurrent requests from
-//! different HTTP connections interleave safely.
+//! A `WorkerSet` is a fixed set of `std::thread`s pulling jobs from
+//! one shared queue (work stealing via `Mutex<Receiver>`). A
+//! [`ScoringPool`] binds one model to a worker set, and any number of
+//! pools can share one set: every job reaches its model through its
+//! batch state, and each worker's [`ScoreWorkspace`] regrows for
+//! whatever shape it is handed. The registry runs every model it serves
+//! on one process-wide set, so a model swap is an `Arc` store — no
+//! thread is spawned or joined. [`ScoringPool::new`] still spawns a
+//! private set, for in-process callers scoring one model.
 //!
 //! Completion is **callback-driven**: the last shard to finish invokes
 //! the batch's completion callback on its worker thread. The blocking
@@ -55,7 +60,7 @@ pub struct ScoreTiming {
     pub score_ns: u64,
 }
 
-/// Pool sizing.
+/// Worker-set sizing.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker thread count (0 = one per available core).
@@ -74,7 +79,7 @@ impl Default for PoolConfig {
 impl PoolConfig {
     /// The worker count this configuration resolves to on this host:
     /// the explicit count, or one per available core. When core
-    /// detection fails the fallback is 2 workers; [`ScoringPool::new`]
+    /// detection fails the fallback is 2 workers; spawning the workers
     /// logs that degradation instead of absorbing it silently.
     pub fn effective_workers(&self) -> usize {
         self.resolve_workers().0
@@ -94,11 +99,17 @@ impl PoolConfig {
     }
 }
 
-/// Shared per-batch completion state: the preallocated output vector,
-/// the count of shards still in flight, the deterministically chosen
-/// error (lowest shard low-row wins regardless of completion order),
-/// and the one-shot completion callback.
+/// Shared per-batch state: what to score (model, variant, rows), the
+/// preallocated output vector, the count of shards still in flight, the
+/// deterministically chosen error (lowest shard low-row wins regardless
+/// of completion order), and the one-shot completion callback.
 struct BatchState {
+    model: Arc<ServedModel>,
+    /// Which side of the teacher/booster pair the batch scores with.
+    /// Teacher shards are per-row too, so shard-independence holds for
+    /// both variants.
+    variant: Variant,
+    rows: Arc<Matrix>,
     out: Mutex<Vec<f64>>,
     remaining: AtomicUsize,
     first_err: Mutex<Option<(usize, ScoreError)>>,
@@ -110,23 +121,30 @@ struct BatchState {
 }
 
 impl BatchState {
-    fn new(n: usize, n_shards: usize, done: ScoreCallback) -> Arc<Self> {
-        Arc::new(Self {
-            out: Mutex::new(vec![0.0; n]),
-            remaining: AtomicUsize::new(n_shards),
-            first_err: Mutex::new(None),
-            done: Mutex::new(Some(done)),
-            submitted_ns: now_ns(),
-            first_dequeue_ns: AtomicU64::new(0),
-        })
-    }
-
     /// Marks the moment a worker first picked up a shard of this batch
     /// — the end of the batch's queue wait. Relaxed CAS: only the first
     /// caller wins, later shards are already in the scoring phase.
     // audit: no_panic
     fn mark_dequeued(&self, t: u64) {
         let _ = self.first_dequeue_ns.compare_exchange(0, t, Ordering::Relaxed, Ordering::Relaxed);
+    }
+
+    /// Scores rows `lo..hi` into `out[lo..hi]` with `ws`.
+    fn score_shard(&self, lo: usize, hi: usize, ws: &mut ScoreWorkspace) -> Result<(), ScoreError> {
+        // A poisoned output lock means another shard's copy panicked;
+        // the Job drop guard surfaces that, so keep the data path
+        // moving.
+        let write = |scores: &[f64]| {
+            self.out.lock().unwrap_or_else(|e| e.into_inner())[lo..hi].copy_from_slice(scores);
+        };
+        match self.variant {
+            Variant::Booster => write(self.model.score_range_into(&self.rows, lo, hi, ws)?),
+            Variant::Teacher => match self.model.teacher() {
+                Some(teacher) => write(&teacher.score_range(&self.rows, lo, hi)?),
+                None => return Err(ScoreError::TeacherNotLoaded),
+            },
+        }
+        Ok(())
     }
 
     /// Records one shard's outcome; the call that drops `remaining` to
@@ -174,8 +192,8 @@ impl BatchState {
     }
 }
 
-/// One shard of a scoring request: rows `lo..hi` of the shared batch,
-/// scored into the batch state's `out[lo..hi]`.
+/// One shard of a scoring request: rows `lo..hi` of the batch, scored
+/// into the batch state's `out[lo..hi]`.
 ///
 /// The `Drop` guard makes shard accounting panic-proof: a job dropped
 /// without reporting (worker panicked mid-score, or the queue was torn
@@ -183,13 +201,8 @@ impl BatchState {
 /// [`ScoreError::WorkerPanicked`] failure, so the batch completes with
 /// an error instead of hanging its caller forever.
 struct Job {
-    batch: Arc<Matrix>,
     lo: usize,
     hi: usize,
-    /// Which side of the teacher/booster pair this shard scores with.
-    /// Teacher shards are per-row too, so shard-independence holds for
-    /// both variants.
-    variant: Variant,
     state: Arc<BatchState>,
     reported: bool,
 }
@@ -214,24 +227,25 @@ impl Drop for Job {
                 uadb_telemetry::Level::Error,
                 "pool",
                 "scoring shard lost to a worker panic",
-                &[("rows", &range), ("variant", self.variant.name())],
+                &[("rows", &range), ("variant", self.state.variant.name())],
             );
             self.state.record(self.lo, Err(ScoreError::WorkerPanicked));
         }
     }
 }
 
-/// A fixed pool of scoring workers over one loaded model.
-pub struct ScoringPool {
-    model: Arc<ServedModel>,
+/// A fixed set of scoring threads and their job queue, shared by every
+/// [`ScoringPool`] bound to it. The threads live until the last pool
+/// bound to the set is dropped.
+pub(crate) struct WorkerSet {
     queue: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
     shard_rows: usize,
 }
 
-impl ScoringPool {
+impl WorkerSet {
     /// Spawns the workers.
-    pub fn new(model: Arc<ServedModel>, cfg: PoolConfig) -> Self {
+    pub(crate) fn spawn(cfg: &PoolConfig) -> Arc<Self> {
         let (n_workers, detect_err) = cfg.resolve_workers();
         if let Some(e) = detect_err {
             let err = e.to_string();
@@ -244,25 +258,59 @@ impl ScoringPool {
                 &[("error", &err), ("workers", &n)],
             );
         }
-        let shard_rows = cfg.shard_rows.max(1);
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..n_workers)
+        let threads = (0..n_workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let model = Arc::clone(&model);
                 std::thread::Builder::new()
                     .name(format!("uadb-score-{i}"))
-                    .spawn(move || worker_loop(&model, &rx))
+                    .spawn(move || worker_loop(&rx))
                     .expect("spawn scoring worker")
             })
             .collect();
-        Self { model, queue: Some(tx), workers, shard_rows }
+        Arc::new(Self { queue: Some(tx), threads, shard_rows: cfg.shard_rows.max(1) })
+    }
+}
+
+impl Drop for WorkerSet {
+    fn drop(&mut self) {
+        // Closing the queue ends every worker's recv loop once the
+        // queued jobs are drained.
+        self.queue.take();
+        // The last pool handle can be dropped on one of these workers
+        // (a completion callback that held it). A thread cannot join
+        // itself: that worker finishes its callback, drains the queue
+        // and exits on its own.
+        let me = std::thread::current().id();
+        for handle in self.threads.drain(..) {
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
+        }
+    }
+}
+
+/// A model bound to a worker set: the handle everything scores through.
+pub struct ScoringPool {
+    model: Arc<ServedModel>,
+    workers: Arc<WorkerSet>,
+}
+
+impl ScoringPool {
+    /// Spawns a private worker set for `model`.
+    pub fn new(model: Arc<ServedModel>, cfg: PoolConfig) -> Self {
+        Self::with_workers(model, WorkerSet::spawn(&cfg))
     }
 
-    /// Number of worker threads.
+    /// Binds `model` to an existing worker set; spawns nothing.
+    pub(crate) fn with_workers(model: Arc<ServedModel>, workers: Arc<WorkerSet>) -> Self {
+        Self { model, workers }
+    }
+
+    /// Number of worker threads in the set this pool scores on.
     pub fn n_workers(&self) -> usize {
-        self.workers.len()
+        self.workers.threads.len()
     }
 
     /// The model this pool scores with.
@@ -354,23 +402,27 @@ impl ScoringPool {
         // worker set is what bounds CPU concurrency, and scoring on the
         // calling thread would let N concurrent small requests run N
         // simultaneous forward passes.
-        let n_shards = n.div_ceil(self.shard_rows);
-        let queue = self.queue.as_ref().expect("pool not shut down");
-        let state = BatchState::new(n, n_shards, done);
+        let shard_rows = self.workers.shard_rows;
+        let n_shards = n.div_ceil(shard_rows);
+        let queue = self.workers.queue.as_ref().expect("worker set not shut down");
+        let state = Arc::new(BatchState {
+            model: Arc::clone(&self.model),
+            variant,
+            rows: Arc::clone(raw),
+            out: Mutex::new(vec![0.0; n]),
+            remaining: AtomicUsize::new(n_shards),
+            first_err: Mutex::new(None),
+            done: Mutex::new(Some(done)),
+            submitted_ns: now_ns(),
+            first_dequeue_ns: AtomicU64::new(0),
+        });
         // Balanced by the Job drop guard, which fires exactly once per
         // shard however the shard ends.
         telemetry::metrics().pool_queue_depth.add(n_shards as i64);
         for shard_idx in 0..n_shards {
-            let lo = shard_idx * self.shard_rows;
-            let hi = (lo + self.shard_rows).min(n);
-            let job = Job {
-                batch: Arc::clone(raw),
-                lo,
-                hi,
-                variant,
-                state: Arc::clone(&state),
-                reported: false,
-            };
+            let lo = shard_idx * shard_rows;
+            let hi = (lo + shard_rows).min(n);
+            let job = Job { lo, hi, state: Arc::clone(&state), reported: false };
             // The receiver lives inside the worker threads; if every
             // worker has died (scoring panics — a server bug), the
             // channel is closed and the send returns the job, whose
@@ -385,19 +437,10 @@ impl ScoringPool {
     }
 }
 
-impl Drop for ScoringPool {
-    fn drop(&mut self) {
-        // Closing the queue ends every worker's recv loop.
-        self.queue.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(model: &ServedModel, rx: &Mutex<Receiver<Job>>) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>) {
     // Lives as long as the worker: activation buffers, standardisation
-    // buffer and staging scores are reused across every job.
+    // buffer and staging scores are reused across every job, whichever
+    // model it scores.
     let mut ws = ScoreWorkspace::default();
     loop {
         // Hold the queue lock only to pull one job; scoring runs
@@ -406,49 +449,16 @@ fn worker_loop(model: &ServedModel, rx: &Mutex<Receiver<Job>>) {
             Ok(guard) => guard.recv(),
             Err(_) => return,
         };
-        match job {
-            Ok(job) => {
-                let t_dequeue = now_ns();
-                job.state.mark_dequeued(t_dequeue);
-                let (lo, hi) = (job.lo, job.hi);
-                let result = match job.variant {
-                    Variant::Booster => {
-                        match model.score_range_into(&job.batch, lo, hi, &mut ws) {
-                            Ok(scores) => {
-                                // A poisoned output lock means another
-                                // shard's copy panicked; the Job drop
-                                // guard surfaces that, so just keep the
-                                // data path moving.
-                                let mut guard =
-                                    job.state.out.lock().unwrap_or_else(|e| e.into_inner());
-                                guard[lo..hi].copy_from_slice(scores);
-                                Ok(())
-                            }
-                            Err(e) => Err(e),
-                        }
-                    }
-                    Variant::Teacher => match model.teacher() {
-                        Some(teacher) => match teacher.score_range(&job.batch, lo, hi) {
-                            Ok(scores) => {
-                                let mut guard =
-                                    job.state.out.lock().unwrap_or_else(|e| e.into_inner());
-                                guard[lo..hi].copy_from_slice(&scores);
-                                Ok(())
-                            }
-                            Err(e) => Err(e),
-                        },
-                        None => Err(ScoreError::TeacherNotLoaded),
-                    },
-                };
-                let busy = now_ns().saturating_sub(t_dequeue);
-                let m = telemetry::metrics();
-                m.pool_shards_total.inc();
-                m.pool_shard_duration.record(busy);
-                m.pool_busy_ns.add(busy);
-                job.finish(result);
-            }
-            Err(_) => return, // Pool dropped.
-        }
+        let Ok(job) = job else { return }; // Worker set dropped.
+        let t_dequeue = now_ns();
+        job.state.mark_dequeued(t_dequeue);
+        let result = job.state.score_shard(job.lo, job.hi, &mut ws);
+        let busy = now_ns().saturating_sub(t_dequeue);
+        let m = telemetry::metrics();
+        m.pool_shards_total.inc();
+        m.pool_shard_duration.record(busy);
+        m.pool_busy_ns.add(busy);
+        job.finish(result);
     }
 }
 
@@ -600,6 +610,56 @@ mod tests {
             pool.score_shared_variant(&Arc::new(data.x.clone()), Variant::Teacher),
             Err(ScoreError::TeacherNotLoaded)
         );
+    }
+
+    #[test]
+    fn completion_dropping_the_last_handle_keeps_its_booster_half() {
+        // A `variant=both` chain submits its booster half from the
+        // teacher completion, through a handle it captured. When that
+        // handle is the last one, the worker set is dropped on its own
+        // worker: the drop must not join that thread, and the booster
+        // job queued just before must still be scored.
+        let data = fig5_dataset(AnomalyType::Clustered, 26);
+        let (served, _) = crate::model::ServedModel::train_with_teacher(
+            &data,
+            uadb_detectors::DetectorKind::Hbos,
+            uadb::UadbConfig::fast_for_tests(26),
+        )
+        .unwrap();
+        let model = Arc::new(served);
+        let expected = model.score_rows(&data.x).unwrap();
+        let batch = Arc::new(data.x.clone());
+        let pool = Arc::new(ScoringPool::new(
+            Arc::clone(&model),
+            PoolConfig { workers: 1, shard_rows: 64 },
+        ));
+        let (outer_dropped_tx, outer_dropped_rx) = channel::<()>();
+        let (booster_tx, booster_rx) = channel();
+        let captured = Arc::clone(&pool);
+        let booster_batch = Arc::clone(&batch);
+        pool.submit(
+            &batch,
+            Variant::Teacher,
+            Box::new(move |teacher, _| {
+                assert!(teacher.is_ok(), "teacher half failed: {teacher:?}");
+                outer_dropped_rx.recv().unwrap();
+                captured.submit(
+                    &booster_batch,
+                    Variant::Booster,
+                    Box::new(move |booster, _| {
+                        let _ = booster_tx.send(booster);
+                    }),
+                );
+                drop(captured);
+            }),
+        );
+        drop(pool);
+        outer_dropped_tx.send(()).unwrap();
+        let booster = booster_rx.recv().unwrap().unwrap();
+        assert_eq!(booster.len(), expected.len());
+        for (i, (a, b)) in booster.iter().zip(&expected).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+        }
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! Event-driven epoll backend: N reactor shards, each owning a slice
-//! of the client sockets.
+//! The server's connection layer: N epoll reactor shards, each owning a
+//! slice of the client sockets (Linux only).
 //!
-//! The threaded backend spends one OS thread per connection, so its
-//! connection budget is capped by how many mostly-idle threads the host
-//! tolerates. This module replaces that with the classic reactor shape
-//! (Linux only, the Linux default — `serve --io epoll`):
+//! A connection costs a [`Conn`] struct and byte buffers, not a thread,
+//! so the connection budget is not capped by how many mostly-idle
+//! threads the host tolerates. The shape is the classic reactor:
 //!
 //! * **One loop per shard, all sockets sharded.** `--shards N` runs N
 //!   independent epoll loops ([`sys::Epoll`], raw `extern "C"`
 //!   bindings — no new dependencies), each with its own slab, timer
-//!   wheel and wakeup pipe, all submitting to the one shared scoring
-//!   pool. Shards normally each own a `SO_REUSEPORT` listener so the
-//!   kernel spreads accepts; when that bind fails, shard 0 owns the
-//!   sole listener and hands accepted sockets to its siblings
-//!   round-robin over their wakeup pipes. A connection costs a
-//!   [`Conn`] struct and byte buffers, not a thread, so budgets of
-//!   thousands are routine.
+//!   wheel and wakeup pipe, all submitting to the registry's one set
+//!   of scoring threads. Shards normally each own a `SO_REUSEPORT`
+//!   listener so the kernel spreads accepts; when that bind fails,
+//!   shard 0 owns the sole listener and hands accepted sockets to its
+//!   siblings round-robin over their wakeup pipes. Budgets of
+//!   thousands of connections are routine.
 //! * **Edge-triggered sockets.** Connections register with `EPOLLET`
 //!   and every read/write loop drains to `EAGAIN`, so the kernel
 //!   reports each readiness transition once instead of re-reporting
@@ -37,17 +35,14 @@
 //!   per-shard hashed wheel ([`timer::TimerWheel`]) with lazy
 //!   cancellation: O(1) arming per request, one live entry per
 //!   connection, coarse-grained sweeps. Idle connections close
-//!   silently; a request stalled mid-transfer (slow-loris) gets the
-//!   same best-effort `408` as the threaded backend.
-//! * **Shutdown via the same pipes.** The server handle's stop signal
-//!   registers one waker per shard that writes that shard's wakeup
-//!   pipe, so every `epoll_wait` returns immediately and the loops
-//!   tear down.
+//!   silently; a request stalled mid-transfer (slow-loris) gets a
+//!   best-effort `408`.
+//! * **Shutdown via the same pipes.** Every shard registers a stop
+//!   waker that writes its wakeup pipe, and checks the stop flag at the
+//!   top of its loop, so a stop lands whether it comes before or during
+//!   `epoll_wait` and the loops tear down.
 //!
-//! Keep-alive semantics, the `503` connection budget (global across
-//! shards), request caps and response bytes are identical to the
-//! threaded backend — the integration suite runs against both and
-//! asserts bit-identical scoring responses.
+//! The `503` connection budget is global across shards.
 
 mod sys;
 mod timer;
@@ -55,8 +50,8 @@ mod timer;
 pub(crate) use sys::bind_reuseport;
 
 use crate::http::{
-    over_budget_response, parse_request, route, stalled_response, truncated_response,
-    ConnectionDriver, DriverCtx, IoMode, Parse, Response, RouteCtx, Routed, MAX_ACCEPT_FAILURES,
+    over_budget_response, parse_request, route, stalled_response, truncated_response, Parse,
+    Response, RouteCtx, Routed, ServeCtx, MAX_ACCEPT_FAILURES,
 };
 use crate::telemetry::{metrics, RequestTimer, ShardStats, Stage};
 use std::collections::VecDeque;
@@ -166,26 +161,14 @@ impl Conn {
     }
 }
 
-/// The epoll-backed [`ConnectionDriver`].
-pub struct EpollDriver;
-
-impl ConnectionDriver for EpollDriver {
-    fn name(&self) -> &'static str {
-        IoMode::Epoll.name()
-    }
-
-    fn run(&self, listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()> {
-        run_sharded(listeners, ctx)
-    }
-}
-
-/// Builds one [`Reactor`] per shard, spawns shards 1..N on their own
-/// threads and runs shard 0 on the calling thread. Shard `i` owns
+/// Serves until the stop signal triggers or the listener dies: builds
+/// one [`Reactor`] per shard, spawns shards 1..N on their own threads
+/// and runs shard 0 on the calling thread. Shard `i` owns
 /// `listeners[i]` when the `SO_REUSEPORT` group bound; otherwise shard
 /// 0 owns the sole listener and feeds the rest through their inboxes.
-/// Any shard exiting triggers stop so the whole backend winds down
-/// together; shard 0's verdict is the backend's.
-fn run_sharded(listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()> {
+/// Shard 0 exiting triggers stop so every shard winds down together;
+/// shard 0's verdict is the server's.
+pub(crate) fn run(listeners: Vec<TcpListener>, ctx: ServeCtx) -> io::Result<()> {
     let shards = ctx.cfg.shards.max(1);
     let n_listeners = listeners.len();
     // Pipes and inboxes exist before any shard runs: shard 0 needs
@@ -205,12 +188,6 @@ fn run_sharded(listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()> {
     let mut reactors = Vec::with_capacity(shards);
     for (shard, (pipe, waker, inbox)) in slots.into_iter().enumerate() {
         let shard_peers = if shard == 0 { std::mem::take(&mut peers) } else { Vec::new() };
-        let shard_ctx = DriverCtx {
-            registry: Arc::clone(&ctx.registry),
-            cfg: ctx.cfg.clone(),
-            stats: Arc::clone(&ctx.stats),
-            stop: Arc::clone(&ctx.stop),
-        };
         reactors.push(Reactor::new(
             shard,
             listeners.next(),
@@ -218,7 +195,7 @@ fn run_sharded(listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()> {
             waker,
             inbox,
             shard_peers,
-            shard_ctx,
+            ctx.clone(),
         )?);
     }
     let mut reactors = reactors.into_iter();
@@ -254,7 +231,7 @@ fn run_sharded(listeners: Vec<TcpListener>, ctx: DriverCtx) -> io::Result<()> {
     }
     let result = shard0.run();
     // Shard 0 returning — listener death or stop — takes the whole
-    // backend down: wake the siblings and wait for them to drain.
+    // server down: wake the siblings and wait for them to drain.
     ctx.stop.trigger();
     for handle in handles {
         let _ = handle.join();
@@ -283,7 +260,7 @@ struct Reactor {
     free: Vec<u32>,
     completions: Arc<Mutex<Vec<Completion>>>,
     wheel: TimerWheel,
-    ctx: DriverCtx,
+    ctx: ServeCtx,
     accept_failures: u32,
     /// This shard's telemetry block, cached so the hot paths never
     /// touch the registry lock.
@@ -299,7 +276,7 @@ impl Reactor {
         waker: Arc<WakeWriter>,
         inbox: Arc<Mutex<Vec<TcpStream>>>,
         peers: Vec<Handoff>,
-        ctx: DriverCtx,
+        ctx: ServeCtx,
     ) -> io::Result<Self> {
         let ep = Epoll::new()?;
         if let Some(l) = &listener {
@@ -756,11 +733,10 @@ impl Reactor {
         {
             let Some(conn) = self.conns[idx as usize].as_mut() else { return };
             // A half-closed peer with leftover unparseable bytes sent a
-            // truncated request: answer it best-effort before closing,
-            // exactly like the threaded backend. This runs after
-            // `process`, so the leftovers are genuinely partial — and
-            // runs again once an in-flight score completes, so the
-            // answer is not lost when the EOF landed mid-score.
+            // truncated request: answer it best-effort before closing.
+            // This runs after `process`, so the leftovers are genuinely
+            // partial — and runs again once an in-flight score completes,
+            // so the answer is not lost when the EOF landed mid-score.
             if conn.peer_eof && !conn.waiting && !conn.close_after_flush && !conn.rbuf.is_empty() {
                 truncated_response().queue_into(&mut conn.wqueue, true);
                 conn.close_after_flush = true;
@@ -910,8 +886,8 @@ impl Reactor {
             }
             None => {
                 // Overdue. A request stalled mid-transfer (slow-loris)
-                // gets the best-effort 408 the threaded backend sends;
-                // idle or write-stalled connections just close.
+                // gets a best-effort 408; idle or write-stalled
+                // connections just close.
                 let conn = self.conns[idx as usize].as_mut().expect("checked above");
                 if !conn.rbuf.is_empty() && conn.flushed() {
                     let mut out = Vec::new();

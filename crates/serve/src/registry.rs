@@ -3,20 +3,26 @@
 //! ADBench's core finding — and UADB's premise — is that no single
 //! detector wins everywhere, so a production deployment holds one
 //! trained booster per dataset/teacher pair. [`ModelRegistry`] maps
-//! URL-safe names to [`ServedModel`]s, each with its own
-//! [`ScoringPool`], and supports **hot reload**: swapping a registry
-//! entry for a freshly loaded model file atomically, without dropping
-//! in-flight requests (they hold an `Arc` to the pool they started on
-//! and finish against the old weights; the old pool is torn down when
-//! its last request completes).
+//! URL-safe names to [`ServedModel`]s and scores all of them on one
+//! process-wide set of worker threads, sized once by the registry's
+//! [`PoolConfig`]: the thread count does not grow with the number of
+//! models. Each entry is a [`ScoringPool`] handle binding its model to
+//! that set.
+//!
+//! **Hot reload** swaps a registry entry for a freshly loaded model
+//! file atomically, without dropping in-flight requests: they hold an
+//! `Arc` to the handle they started on and finish against the old
+//! weights, which are freed when the last of them completes. A swap
+//! spawns and joins no thread.
 //!
 //! Lock discipline: the registry's `RwLock` is held only to clone or
-//! swap an `Arc` — never across model loading, pool construction or
-//! scoring — so a reload cannot stall concurrent requests.
+//! swap an `Arc` — never across model loading or scoring — so a reload
+//! cannot stall concurrent requests, and concurrent requests cannot
+//! stall a reload.
 
 use crate::model::ServedModel;
 use crate::persist::{self, PersistError};
-use crate::pool::{PoolConfig, ScoringPool};
+use crate::pool::{PoolConfig, ScoringPool, WorkerSet};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -35,11 +41,12 @@ struct Entry {
     /// Where the model's teacher snapshot was loaded from, if the entry
     /// serves one; reload re-reads this alongside `source`.
     teacher_source: Option<PathBuf>,
-    pool_cfg: PoolConfig,
 }
 
 /// A concurrent name → scoring-pool map with a designated default.
 pub struct ModelRegistry {
+    /// The scoring threads every entry's pool runs on.
+    workers: Arc<WorkerSet>,
     entries: RwLock<BTreeMap<String, Entry>>,
     default_name: RwLock<Option<String>>,
     /// Per-model score-request counters, kept *outside* the entries so
@@ -177,17 +184,13 @@ pub fn is_valid_name(name: &str) -> bool {
         && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
 }
 
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ModelRegistry {
-    /// An empty registry. The first inserted model becomes the default
+    /// An empty registry, with the worker set every model it serves
+    /// will score on. The first inserted model becomes the default
     /// unless [`ModelRegistry::set_default`] chooses otherwise.
-    pub fn new() -> Self {
+    pub fn new(pool_cfg: PoolConfig) -> Self {
         Self {
+            workers: WorkerSet::spawn(&pool_cfg),
             entries: RwLock::new(BTreeMap::new()),
             default_name: RwLock::new(None),
             counters: RwLock::new(BTreeMap::new()),
@@ -204,16 +207,15 @@ impl ModelRegistry {
         self.entries.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Registers (or replaces) a model under `name`, spinning up its
-    /// scoring pool. In-memory models have no source path and cannot be
-    /// reloaded without one.
-    pub fn insert(
-        &self,
-        name: &str,
-        model: Arc<ServedModel>,
-        pool_cfg: PoolConfig,
-    ) -> Result<(), RegistryError> {
-        self.insert_entry(name, model, None, None, pool_cfg)
+    /// `model` bound to the registry's worker set.
+    fn pool(&self, model: Arc<ServedModel>) -> Arc<ScoringPool> {
+        Arc::new(ScoringPool::with_workers(model, Arc::clone(&self.workers)))
+    }
+
+    /// Registers (or replaces) a model under `name`. In-memory models
+    /// have no source path and cannot be reloaded without one.
+    pub fn insert(&self, name: &str, model: Arc<ServedModel>) -> Result<(), RegistryError> {
+        self.insert_entry(name, model, None, None)
     }
 
     /// Loads a model file and registers it under `name`, remembering the
@@ -222,27 +224,25 @@ impl ModelRegistry {
         &self,
         name: &str,
         path: impl AsRef<Path>,
-        pool_cfg: PoolConfig,
     ) -> Result<(), RegistryError> {
-        self.insert_from_files(name, path, None::<&Path>, pool_cfg)
+        self.insert_from_files(name, path, None::<&Path>)
     }
 
     /// Loads a booster file — and, when given, its frozen teacher
     /// snapshot — and registers the pair under `name`, remembering both
     /// paths for hot reload. A teacher whose feature width differs from
     /// the booster's is rejected with [`RegistryError::TeacherMismatch`]
-    /// at load time, before any pool exists to crash.
+    /// at load time, before the pair can serve a request.
     pub fn insert_from_files(
         &self,
         name: &str,
         path: impl AsRef<Path>,
         teacher_path: Option<impl AsRef<Path>>,
-        pool_cfg: PoolConfig,
     ) -> Result<(), RegistryError> {
         let path = path.as_ref();
         let teacher_path = teacher_path.map(|p| p.as_ref().to_path_buf());
         let model = Arc::new(load_pair(path, teacher_path.as_deref())?);
-        self.insert_entry(name, model, Some(path.to_path_buf()), teacher_path, pool_cfg)
+        self.insert_entry(name, model, Some(path.to_path_buf()), teacher_path)
     }
 
     fn insert_entry(
@@ -251,12 +251,10 @@ impl ModelRegistry {
         model: Arc<ServedModel>,
         source: Option<PathBuf>,
         teacher_source: Option<PathBuf>,
-        pool_cfg: PoolConfig,
     ) -> Result<(), RegistryError> {
         if !is_valid_name(name) {
             return Err(RegistryError::InvalidName(name.to_string()));
         }
-        // Pool construction (thread spawning) happens outside the lock.
         let teacher = if model.teacher().is_some() { "yes" } else { "no" };
         logger().log(
             Level::Info,
@@ -265,9 +263,8 @@ impl ModelRegistry {
             &[("model", name), ("teacher", teacher)],
         );
         install_drift(name, &model);
-        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
-        self.write_entries()
-            .insert(name.to_string(), Entry { pool, source, teacher_source, pool_cfg });
+        let pool = self.pool(model);
+        self.write_entries().insert(name.to_string(), Entry { pool, source, teacher_source });
         self.counters
             .write()
             .unwrap_or_else(|e| e.into_inner())
@@ -282,7 +279,7 @@ impl ModelRegistry {
 
     /// Attaches (or replaces) a frozen teacher snapshot on a live
     /// entry, loaded from `path`, with the same kind/width validation
-    /// as startup. Like [`ModelRegistry::reload`], the replacement pool
+    /// as startup. Like [`ModelRegistry::reload`], the replacement model
     /// is fully built before the swap: requests in flight keep their
     /// old pool, a failed load leaves the entry untouched, and the new
     /// teacher path is remembered so a later reload re-reads it.
@@ -292,19 +289,12 @@ impl ModelRegistry {
     /// [`RegistryError::ConcurrentSwap`] instead of silently
     /// re-publishing the pre-reload weights.
     pub fn attach_teacher(&self, name: &str, path: &Path) -> Result<(), RegistryError> {
-        let (seen_pool, pool_cfg, source) = self.entry_snapshot(name)?;
+        let (seen_pool, source) = self.entry_snapshot(name)?;
         // Clone the bundle outside every lock: the original keeps
         // serving until the swap below.
         let mut new_model = (*Arc::clone(seen_pool.model())).clone();
         attach_validated(&mut new_model, path)?;
-        self.swap_entry(
-            name,
-            &seen_pool,
-            Arc::new(new_model),
-            source,
-            Some(path.to_path_buf()),
-            pool_cfg,
-        )
+        self.swap_entry(name, &seen_pool, Arc::new(new_model), source, Some(path.to_path_buf()))
     }
 
     /// Detaches the teacher snapshot from a live entry; afterwards
@@ -313,32 +303,32 @@ impl ModelRegistry {
     /// Conditional on the entry not having been replaced concurrently,
     /// like [`ModelRegistry::attach_teacher`].
     pub fn detach_teacher(&self, name: &str) -> Result<(), RegistryError> {
-        let (seen_pool, pool_cfg, source) = self.entry_snapshot(name)?;
+        let (seen_pool, source) = self.entry_snapshot(name)?;
         if seen_pool.model().teacher().is_none() {
             return Err(RegistryError::NoTeacher(name.to_string()));
         }
         let mut new_model = (*Arc::clone(seen_pool.model())).clone();
         new_model.detach_teacher();
-        self.swap_entry(name, &seen_pool, Arc::new(new_model), source, None, pool_cfg)
+        self.swap_entry(name, &seen_pool, Arc::new(new_model), source, None)
     }
 
-    /// `(pool, pool config, source path)` of a live entry; the pool
-    /// `Arc` doubles as the identity witness for the conditional swap.
+    /// `(pool, source path)` of a live entry; the pool `Arc` doubles as
+    /// the identity witness for the conditional swap.
     fn entry_snapshot(
         &self,
         name: &str,
-    ) -> Result<(Arc<ScoringPool>, PoolConfig, Option<PathBuf>), RegistryError> {
+    ) -> Result<(Arc<ScoringPool>, Option<PathBuf>), RegistryError> {
         let entries = self.read_entries();
         let entry =
             entries.get(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
-        Ok((Arc::clone(&entry.pool), entry.pool_cfg.clone(), entry.source.clone()))
+        Ok((Arc::clone(&entry.pool), entry.source.clone()))
     }
 
-    /// Builds a pool for `model` outside the lock, then swaps it in —
-    /// but only if the entry still holds `seen_pool`. The swapped
-    /// bundle was derived from that pool's model, so if anything
-    /// replaced the entry in the meantime (reload, re-insert), applying
-    /// the swap would resurrect stale weights; abort instead.
+    /// Swaps `model` in — but only if the entry still holds
+    /// `seen_pool`. The swapped bundle was derived from that pool's
+    /// model, so if anything replaced the entry in the meantime
+    /// (reload, re-insert), applying the swap would resurrect stale
+    /// weights; abort instead.
     fn swap_entry(
         &self,
         name: &str,
@@ -346,15 +336,14 @@ impl ModelRegistry {
         model: Arc<ServedModel>,
         source: Option<PathBuf>,
         teacher_source: Option<PathBuf>,
-        pool_cfg: PoolConfig,
     ) -> Result<(), RegistryError> {
         let drift_model = Arc::clone(&model);
-        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
+        let pool = self.pool(model);
         let attached = teacher_source.is_some();
         let mut entries = self.write_entries();
         match entries.get_mut(name) {
             Some(entry) if Arc::ptr_eq(&entry.pool, seen_pool) => {
-                *entry = Entry { pool, source, teacher_source, pool_cfg };
+                *entry = Entry { pool, source, teacher_source };
                 drop(entries);
                 // Only after the swap actually lands: an aborted swap
                 // must not reset the serving model's drift window.
@@ -391,12 +380,12 @@ impl ModelRegistry {
 
     /// Atomically replaces `name`'s model with one freshly loaded from
     /// `path` (or, when `path` is `None`, from the entry's remembered
-    /// source file). The new pool is built before the swap and the old
-    /// pool's `Arc` is only released, so requests scoring against the old
-    /// model finish undisturbed and a failed load leaves the entry
-    /// untouched.
+    /// source file). The new model is loaded before the swap and the
+    /// old pool's `Arc` is only released, so requests scoring against
+    /// the old model finish undisturbed, the swap never waits for them,
+    /// and a failed load leaves the entry untouched.
     pub fn reload(&self, name: &str, path: Option<&Path>) -> Result<(), RegistryError> {
-        let (resolved, teacher_source, pool_cfg) = {
+        let (resolved, teacher_source) = {
             let entries = self.read_entries();
             let entry =
                 entries.get(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
@@ -407,31 +396,18 @@ impl ModelRegistry {
                     .clone()
                     .ok_or_else(|| RegistryError::NoSourcePath(name.to_string()))?,
             };
-            (resolved, entry.teacher_source.clone(), entry.pool_cfg.clone())
+            (resolved, entry.teacher_source.clone())
         };
-        // Load and spin up the replacement outside any lock; a teacher
-        // snapshot, when the entry serves one, is re-read alongside.
+        // Load the replacement outside any lock; a teacher snapshot,
+        // when the entry serves one, is re-read alongside.
         let model = Arc::new(load_pair(&resolved, teacher_source.as_deref())?);
         let drift_model = Arc::clone(&model);
-        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
-        let mut entries = self.write_entries();
-        match entries.get_mut(name) {
-            // The entry may have been replaced concurrently; last write
-            // wins, exactly as two concurrent reloads would.
-            Some(entry) => {
-                entry.pool = pool;
-                entry.source = Some(resolved);
-                entry.teacher_source = teacher_source;
-                entry.pool_cfg = pool_cfg;
-            }
-            None => {
-                entries.insert(
-                    name.to_string(),
-                    Entry { pool, source: Some(resolved), teacher_source, pool_cfg },
-                );
-            }
-        }
-        drop(entries);
+        let entry = Entry { pool: self.pool(model), source: Some(resolved), teacher_source };
+        // The entry may have been replaced concurrently; last write wins,
+        // exactly as two concurrent reloads would. The old entry drops
+        // after the lock is released.
+        let old = self.write_entries().insert(name.to_string(), entry);
+        drop(old);
         install_drift(name, &drift_model);
         logger().log(Level::Info, "registry", "model reloaded", &[("model", name)]);
         Ok(())
@@ -495,6 +471,40 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use crate::model::tests::tiny_model;
+    use crate::model::Variant;
+    use std::sync::mpsc::channel;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+    use uadb_data::synth::{fig5_dataset, generate, AnomalyType, SynthConfig};
+    use uadb_linalg::Matrix;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("uadb_registry_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Scores `rows` through `pool` and reports which thread ran the
+    /// completion, with the scores.
+    fn scored_on(pool: &ScoringPool, rows: &Matrix, variant: Variant) -> (ThreadId, Vec<f64>) {
+        let (tx, rx) = channel();
+        pool.submit(
+            &Arc::new(rows.clone()),
+            variant,
+            Box::new(move |scores, _| {
+                let _ = tx.send((std::thread::current().id(), scores));
+            }),
+        );
+        let (thread, scores) = rx.recv().unwrap();
+        (thread, scores.unwrap())
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} row {i}");
+        }
+    }
 
     #[test]
     fn name_validation() {
@@ -509,11 +519,11 @@ mod tests {
 
     #[test]
     fn first_insert_becomes_default_and_routing_works() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(PoolConfig::default());
         assert!(reg.is_empty());
         assert!(reg.default_pool().is_none());
-        reg.insert("alpha", Arc::new(tiny_model(31)), PoolConfig::default()).unwrap();
-        reg.insert("beta", Arc::new(tiny_model(32)), PoolConfig::default()).unwrap();
+        reg.insert("alpha", Arc::new(tiny_model(31))).unwrap();
+        reg.insert("beta", Arc::new(tiny_model(32))).unwrap();
         assert_eq!(reg.default_name().as_deref(), Some("alpha"));
         assert_eq!(reg.names(), vec!["alpha".to_string(), "beta".to_string()]);
         assert_eq!(reg.len(), 2);
@@ -523,21 +533,20 @@ mod tests {
         assert_eq!(reg.default_name().as_deref(), Some("beta"));
         assert!(matches!(reg.set_default("gamma"), Err(RegistryError::UnknownModel(_))));
         assert!(matches!(
-            reg.insert("bad/name", Arc::new(tiny_model(33)), PoolConfig::default()),
+            reg.insert("bad/name", Arc::new(tiny_model(33))),
             Err(RegistryError::InvalidName(_))
         ));
     }
 
     #[test]
     fn reload_swaps_without_invalidating_held_pools() {
-        let dir = std::env::temp_dir().join(format!("uadb_registry_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("reload");
         let path = dir.join("m.uadb");
         let first = tiny_model(34);
         crate::persist::save_file(&first, &path).unwrap();
 
-        let reg = ModelRegistry::new();
-        reg.insert_from_file("m", &path, PoolConfig { workers: 1, shard_rows: 64 }).unwrap();
+        let reg = ModelRegistry::new(PoolConfig { workers: 1, shard_rows: 64 });
+        reg.insert_from_file("m", &path).unwrap();
         let held = reg.get("m").unwrap();
         let first_cal = first.model().calibration();
 
@@ -561,10 +570,123 @@ mod tests {
         assert!(Arc::ptr_eq(&reg.get("m").unwrap(), &fresh));
 
         assert!(matches!(reg.reload("nope", None), Err(RegistryError::UnknownModel(_))));
-        let mem = ModelRegistry::new();
-        mem.insert("ram", Arc::new(tiny_model(36)), PoolConfig::default()).unwrap();
+        let mem = ModelRegistry::new(PoolConfig::default());
+        mem.insert("ram", Arc::new(tiny_model(36))).unwrap();
         assert!(matches!(mem.reload("ram", None), Err(RegistryError::NoSourcePath(_))));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_does_not_wait_for_in_flight_scoring() {
+        let dir = temp_dir("inflight");
+        let path = dir.join("m.uadb");
+        crate::persist::save_file(&tiny_model(37), &path).unwrap();
+        let reg = Arc::new(ModelRegistry::new(PoolConfig { workers: 1, shard_rows: 64 }));
+        reg.insert_from_file("m", &path).unwrap();
+        let pool = reg.get("m").unwrap();
+        let batch = Arc::new(fig5_dataset(AnomalyType::Clustered, 37).x);
+        let expected = pool.model().score_rows(&batch).unwrap();
+
+        // Hold the only worker inside a completion until released, and
+        // queue a second batch behind it.
+        let (held_tx, held_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (first_tx, first_rx) = channel();
+        pool.submit(
+            &batch,
+            Variant::Booster,
+            Box::new(move |scores, _| {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+                let _ = first_tx.send(scores);
+            }),
+        );
+        held_rx.recv().unwrap();
+        let (second_tx, second_rx) = channel();
+        pool.submit(
+            &batch,
+            Variant::Booster,
+            Box::new(move |scores, _| {
+                let _ = second_tx.send(scores);
+            }),
+        );
+        // Like the reactor after a submit, drop the handle: the
+        // registry's entry is now the last one, and the reload drops it.
+        drop(pool);
+        let (reloaded_tx, reloaded_rx) = channel();
+        let helper = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                let _ = reloaded_tx.send(reg.reload("m", None).is_ok());
+            })
+        };
+        let reloaded = reloaded_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        assert_eq!(reloaded, Ok(true), "reload waited for in-flight scoring");
+        helper.join().unwrap();
+        assert_bits(&first_rx.recv().unwrap().unwrap(), &expected, "held batch");
+        assert_bits(&second_rx.recv().unwrap().unwrap(), &expected, "queued batch");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn models_share_one_worker_set_across_swaps() {
+        use uadb::UadbConfig;
+        use uadb_detectors::DetectorKind;
+
+        // Two models of different input widths; `narrow` also gets a
+        // teacher snapshot file to attach later.
+        let dir = temp_dir("shared");
+        let narrow_data = fig5_dataset(AnomalyType::Clustered, 38);
+        let (narrow, teacher) = ServedModel::train_with_teacher(
+            &narrow_data,
+            DetectorKind::Hbos,
+            UadbConfig::fast_for_tests(38),
+        )
+        .unwrap();
+        let wide_cfg = SynthConfig {
+            n_inliers: 90,
+            n_anomalies: 10,
+            dim: 5,
+            seed: 39,
+            ..SynthConfig::default()
+        };
+        let wide_data = generate("wide", "Test", &wide_cfg);
+        let wide =
+            ServedModel::train(&wide_data, DetectorKind::Hbos, UadbConfig::fast_for_tests(39))
+                .unwrap();
+        assert_ne!(narrow.input_dim(), wide.input_dim());
+        let (narrow_path, wide_path, teacher_path) =
+            (dir.join("narrow.uadb"), dir.join("wide.uadb"), dir.join("teacher.uadb"));
+        crate::persist::save_file(&narrow, &narrow_path).unwrap();
+        crate::persist::save_file(&wide, &wide_path).unwrap();
+        crate::persist::save_teacher_file(&teacher, &teacher_path).unwrap();
+        let narrow_expected = narrow.score_rows(&narrow_data.x).unwrap();
+        let wide_expected = wide.score_rows(&wide_data.x).unwrap();
+
+        let reg = ModelRegistry::new(PoolConfig { workers: 1, shard_rows: 64 });
+        reg.insert_from_file("narrow", &narrow_path).unwrap();
+        reg.insert_from_file("wide", &wide_path).unwrap();
+        let mut threads = Vec::new();
+        let mut score = |name: &str, rows: &Matrix, variant: Variant, want: &[f64], what: &str| {
+            let pool = reg.get(name).unwrap();
+            assert_eq!(pool.n_workers(), 1);
+            let (thread, scores) = scored_on(&pool, rows, variant);
+            assert_bits(&scores, want, what);
+            threads.push(thread);
+        };
+        score("narrow", &narrow_data.x, Variant::Booster, &narrow_expected, "narrow");
+        score("wide", &wide_data.x, Variant::Booster, &wide_expected, "wide");
+        reg.reload("wide", None).unwrap();
+        score("wide", &wide_data.x, Variant::Booster, &wide_expected, "wide after reload");
+        score("narrow", &narrow_data.x, Variant::Booster, &narrow_expected, "narrow after reload");
+        reg.attach_teacher("narrow", &teacher_path).unwrap();
+        let teacher_expected = teacher.score_rows(&narrow_data.x).unwrap();
+        score("narrow", &narrow_data.x, Variant::Teacher, &teacher_expected, "attached teacher");
+        score("narrow", &narrow_data.x, Variant::Booster, &narrow_expected, "narrow after attach");
+        score("wide", &wide_data.x, Variant::Booster, &wide_expected, "wide after attach");
+        assert!(threads.iter().all(|t| *t == threads[0]), "completions ran on {threads:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

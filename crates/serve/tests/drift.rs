@@ -1,5 +1,5 @@
-//! Drift-plane integration: a live server on every available I/O
-//! backend, driven with clean and covariate-shifted traffic.
+//! Drift-plane integration: a live server driven with clean and
+//! covariate-shifted traffic.
 //!
 //! Pins three properties end to end:
 //!
@@ -7,7 +7,7 @@
 //!    the PSI of the live score window near zero, while the same rows
 //!    with feature 0 offset by +5.0 push the PSI past the 0.25
 //!    "significant" band and make feature 0 the arg-max standardized
-//!    feature shift — on both backends, via `GET /admin/drift/{name}`.
+//!    feature shift, via `GET /admin/drift/{name}`.
 //! 2. **`POST /admin/drift/{name}/reset`** clears the live window (and
 //!    only the live window: the train-time baseline survives) without
 //!    touching other models' windows.
@@ -31,23 +31,7 @@ use uadb_detectors::DetectorKind;
 use uadb_serve::json::{self, Value};
 use uadb_serve::model::ServedModel;
 use uadb_serve::pool::PoolConfig;
-use uadb_serve::{persist, IoMode, ModelRegistry, Server, ServerConfig, ServerHandle};
-
-/// The I/O backends this host can run, or the one `UADB_SERVE_IO` pins.
-fn backends() -> Vec<IoMode> {
-    match std::env::var("UADB_SERVE_IO").as_deref() {
-        Ok("threads") => vec![IoMode::Threads],
-        Ok("epoll") => vec![IoMode::Epoll],
-        Ok(other) => panic!("UADB_SERVE_IO must be threads|epoll, got `{other}`"),
-        Err(_) => {
-            let mut all = vec![IoMode::Threads];
-            if cfg!(target_os = "linux") {
-                all.push(IoMode::Epoll);
-            }
-            all
-        }
-    }
-}
+use uadb_serve::{persist, ModelRegistry, Server, ServerConfig, ServerHandle};
 
 /// Trains a model on the Fig. 5 clustered dataset and persists it, so
 /// registry entries carry a source path and `/admin/reload` works.
@@ -60,9 +44,8 @@ fn trained_to_file(seed: u64, tag: &str) -> (Dataset, std::path::PathBuf) {
     (data, path)
 }
 
-fn spawn(registry: Arc<ModelRegistry>, io: IoMode) -> ServerHandle {
-    let config = ServerConfig { io, ..ServerConfig::default() };
-    Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()
+fn spawn(registry: Arc<ModelRegistry>) -> ServerHandle {
+    Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap().spawn().unwrap()
 }
 
 /// One-shot `Connection: close` request; returns `(status, body)`.
@@ -140,121 +123,100 @@ fn gauge_value(addr: SocketAddr, prefix: &str) -> f64 {
 fn injected_shift_raises_psi_and_reset_clears_the_live_window() {
     let (data, path) = trained_to_file(91, "inject");
     let n = data.n_samples() as f64;
-    for io in backends() {
-        let registry = Arc::new(ModelRegistry::new());
-        let pool = PoolConfig { workers: 2, shard_rows: 64 };
-        registry.insert_from_file("drift-ctl", &path, pool.clone()).unwrap();
-        registry.insert_from_file("drift-shift", &path, pool).unwrap();
-        let handle = spawn(registry, io);
-        let addr = handle.addr();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 64 }));
+    registry.insert_from_file("drift-ctl", &path).unwrap();
+    registry.insert_from_file("drift-shift", &path).unwrap();
+    let handle = spawn(registry);
+    let addr = handle.addr();
 
-        // Clean traffic replays the training rows; shifted traffic is
-        // the same rows with feature 0 offset far outside its support.
-        let (status, body) =
-            request(addr, "POST", "/score/drift-ctl", Some(&rows_json(&data, 0.0)));
-        assert_eq!(status, 200, "[{}] {body}", io.name());
-        let (status, body) =
-            request(addr, "POST", "/score/drift-shift", Some(&rows_json(&data, 5.0)));
-        assert_eq!(status, 200, "[{}] {body}", io.name());
+    // Clean traffic replays the training rows; shifted traffic is
+    // the same rows with feature 0 offset far outside its support.
+    let (status, body) = request(addr, "POST", "/score/drift-ctl", Some(&rows_json(&data, 0.0)));
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = request(addr, "POST", "/score/drift-shift", Some(&rows_json(&data, 5.0)));
+    assert_eq!(status, 200, "{body}");
 
-        let ctl = drift_report(addr, "drift-ctl");
-        let shifted = drift_report(addr, "drift-shift");
-        assert_eq!(num(&ctl, "live_samples"), n, "[{}]", io.name());
-        assert_eq!(num(&shifted, "live_samples"), n, "[{}]", io.name());
+    let ctl = drift_report(addr, "drift-ctl");
+    let shifted = drift_report(addr, "drift-shift");
+    assert_eq!(num(&ctl, "live_samples"), n);
+    assert_eq!(num(&shifted, "live_samples"), n);
 
-        // Replayed training rows score into the baseline's own
-        // distribution: PSI stays under the 0.1 "stable" band. The
-        // shifted window must blow past 0.25 ("significant") and name
-        // feature 0 as the arg-max standardized shift.
-        let ctl_psi = num(&ctl, "psi");
-        let shift_psi = num(&shifted, "psi");
-        assert!(ctl_psi < 0.1, "[{}] control PSI {ctl_psi}", io.name());
-        assert!(shift_psi > 0.25, "[{}] shifted PSI {shift_psi}", io.name());
-        assert!(shift_psi > ctl_psi, "[{}] {shift_psi} <= {ctl_psi}", io.name());
-        assert_eq!(num(&shifted, "feature_drift_argmax"), 0.0, "[{}]", io.name());
+    // Replayed training rows score into the baseline's own
+    // distribution: PSI stays under the 0.1 "stable" band. The
+    // shifted window must blow past 0.25 ("significant") and name
+    // feature 0 as the arg-max standardized shift.
+    let ctl_psi = num(&ctl, "psi");
+    let shift_psi = num(&shifted, "psi");
+    assert!(ctl_psi < 0.1, "control PSI {ctl_psi}");
+    assert!(shift_psi > 0.25, "shifted PSI {shift_psi}");
+    assert!(shift_psi > ctl_psi, "{shift_psi} <= {ctl_psi}");
+    assert_eq!(num(&shifted, "feature_drift_argmax"), 0.0);
+    assert!(num(&shifted, "feature_drift_max") > num(&ctl, "feature_drift_max"));
+
+    // The all-models view carries both names.
+    let (status, body) = request(addr, "GET", "/admin/drift", None);
+    assert_eq!(status, 200);
+    let models = json::parse(&body).unwrap();
+    let models = models.get("models").and_then(Value::as_array).expect("models array");
+    for name in ["drift-ctl", "drift-shift"] {
         assert!(
-            num(&shifted, "feature_drift_max") > num(&ctl, "feature_drift_max"),
-            "[{}]",
-            io.name()
+            models.iter().any(|m| m.get("model").and_then(Value::as_str) == Some(name)),
+            "`{name}` missing from /admin/drift: {body}"
         );
-
-        // The all-models view carries both names.
-        let (status, body) = request(addr, "GET", "/admin/drift", None);
-        assert_eq!(status, 200);
-        let models = json::parse(&body).unwrap();
-        let models = models.get("models").and_then(Value::as_array).expect("models array");
-        for name in ["drift-ctl", "drift-shift"] {
-            assert!(
-                models.iter().any(|m| m.get("model").and_then(Value::as_str) == Some(name)),
-                "[{}] `{name}` missing from /admin/drift: {body}",
-                io.name()
-            );
-        }
-
-        // Reset clears the shifted live window — PSI back to "no data",
-        // baseline intact — and leaves the control window untouched.
-        let (status, body) = request(addr, "POST", "/admin/drift/drift-shift/reset", None);
-        assert_eq!(status, 200, "[{}] {body}", io.name());
-        let shifted = drift_report(addr, "drift-shift");
-        assert_eq!(num(&shifted, "live_samples"), 0.0, "[{}]", io.name());
-        assert!(
-            matches!(shifted.get("psi"), Some(Value::Null)),
-            "[{}] PSI should be null after reset: {shifted:?}",
-            io.name()
-        );
-        assert!(num(&shifted, "baseline_samples") > 0.0, "[{}]", io.name());
-        let ctl = drift_report(addr, "drift-ctl");
-        assert_eq!(num(&ctl, "live_samples"), n, "[{}] reset leaked across models", io.name());
-
-        // Unknown names are a 404 on both the report and the reset.
-        let (status, _) = request(addr, "GET", "/admin/drift/no-such", None);
-        assert_eq!(status, 404, "[{}]", io.name());
-        let (status, _) = request(addr, "POST", "/admin/drift/no-such/reset", None);
-        assert_eq!(status, 404, "[{}]", io.name());
-
-        handle.shutdown();
     }
+
+    // Reset clears the shifted live window — PSI back to "no data",
+    // baseline intact — and leaves the control window untouched.
+    let (status, body) = request(addr, "POST", "/admin/drift/drift-shift/reset", None);
+    assert_eq!(status, 200, "{body}");
+    let shifted = drift_report(addr, "drift-shift");
+    assert_eq!(num(&shifted, "live_samples"), 0.0);
+    assert!(
+        matches!(shifted.get("psi"), Some(Value::Null)),
+        "PSI should be null after reset: {shifted:?}"
+    );
+    assert!(num(&shifted, "baseline_samples") > 0.0);
+    let ctl = drift_report(addr, "drift-ctl");
+    assert_eq!(num(&ctl, "live_samples"), n, "reset leaked across models");
+
+    // Unknown names are a 404 on both the report and the reset.
+    let (status, _) = request(addr, "GET", "/admin/drift/no-such", None);
+    assert_eq!(status, 404);
+    let (status, _) = request(addr, "POST", "/admin/drift/no-such/reset", None);
+    assert_eq!(status, 404);
+
+    handle.shutdown();
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn reload_starts_a_fresh_drift_window() {
     let (data, path) = trained_to_file(92, "reload");
-    for io in backends() {
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .insert_from_file("drift-reload", &path, PoolConfig { workers: 2, shard_rows: 64 })
-            .unwrap();
-        let handle = spawn(registry, io);
-        let addr = handle.addr();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 64 }));
+    registry.insert_from_file("drift-reload", &path).unwrap();
+    let handle = spawn(registry);
+    let addr = handle.addr();
 
-        // Shifted traffic drives the PSI gauge well above zero.
-        let (status, _) =
-            request(addr, "POST", "/score/drift-reload", Some(&rows_json(&data, 5.0)));
-        assert_eq!(status, 200);
-        let before = drift_report(addr, "drift-reload");
-        assert!(num(&before, "live_samples") > 0.0, "[{}]", io.name());
-        let psi_series = "uadb_score_drift_psi{model=\"drift-reload\"}";
-        let psi_before = gauge_value(addr, psi_series);
-        assert!(psi_before > 0.25, "[{}] gauge {psi_before}", io.name());
+    // Shifted traffic drives the PSI gauge well above zero.
+    let (status, _) = request(addr, "POST", "/score/drift-reload", Some(&rows_json(&data, 5.0)));
+    assert_eq!(status, 200);
+    let before = drift_report(addr, "drift-reload");
+    assert!(num(&before, "live_samples") > 0.0);
+    let psi_series = "uadb_score_drift_psi{model=\"drift-reload\"}";
+    let psi_before = gauge_value(addr, psi_series);
+    assert!(psi_before > 0.25, "gauge {psi_before}");
 
-        // Hot-swapping the model must start a fresh window: the swapped
-        // model's live distribution is unrelated to the old traffic.
-        let (status, body) = request(addr, "POST", "/admin/reload/drift-reload", None);
-        assert_eq!(status, 200, "[{}] {body}", io.name());
-        let after = drift_report(addr, "drift-reload");
-        assert_eq!(
-            num(&after, "live_samples"),
-            0.0,
-            "[{}] streaming stats survived /admin/reload",
-            io.name()
-        );
-        assert!(matches!(after.get("psi"), Some(Value::Null)), "[{}]", io.name());
-        // ...and the next scrape publishes the gauge back at zero.
-        let psi_after = gauge_value(addr, psi_series);
-        assert_eq!(psi_after, 0.0, "[{}] PSI gauge survived reload", io.name());
+    // Hot-swapping the model must start a fresh window: the swapped
+    // model's live distribution is unrelated to the old traffic.
+    let (status, body) = request(addr, "POST", "/admin/reload/drift-reload", None);
+    assert_eq!(status, 200, "{body}");
+    let after = drift_report(addr, "drift-reload");
+    assert_eq!(num(&after, "live_samples"), 0.0, "streaming stats survived /admin/reload");
+    assert!(matches!(after.get("psi"), Some(Value::Null)));
+    // ...and the next scrape publishes the gauge back at zero.
+    let psi_after = gauge_value(addr, psi_series);
+    assert_eq!(psi_after, 0.0, "PSI gauge survived reload");
 
-        handle.shutdown();
-    }
+    handle.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -31,7 +31,7 @@ use uadb_detectors::DetectorKind;
 use uadb_linalg::Matrix;
 use uadb_serve::model::ServedModel;
 use uadb_serve::persist;
-use uadb_serve::{IoMode, ModelRegistry, PoolConfig, Server, ServerConfig};
+use uadb_serve::{ModelRegistry, PoolConfig, Server, ServerConfig};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -166,35 +166,23 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
 fn golden_score_responses_are_byte_identical() {
     let dir = golden_dir();
     let regen = std::env::var_os("UADB_REGEN_GOLDEN").is_some();
-    let mut backends = vec![IoMode::Threads];
-    if cfg!(target_os = "linux") {
-        backends.push(IoMode::Epoll);
-    }
-    for io in backends {
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .insert_from_files(
-                "golden",
-                dir.join("booster.uadb"),
-                Some(dir.join("teacher.uadb")),
-                PoolConfig { workers: 2, shard_rows: 3 },
-            )
-            .unwrap();
-        let config = ServerConfig { io, ..ServerConfig::default() };
-        let handle = Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap();
-        for (path, fixture) in [
-            ("/score/golden", "score_booster.json"),
-            ("/score/golden?variant=both", "score_both.json"),
-        ] {
-            let (status, body) = post(handle.addr(), path, GOLDEN_ROWS);
-            assert_eq!(status, 200, "[{}] {path}: {body}", io.name());
-            let fixture = dir.join(fixture);
-            if regen {
-                std::fs::write(&fixture, &body).unwrap();
-            }
-            let expected = std::fs::read_to_string(&fixture).expect("response fixture missing");
-            assert_eq!(body, expected, "[{}] {path} drifted from {}", io.name(), fixture.display());
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 3 }));
+    registry
+        .insert_from_files("golden", dir.join("booster.uadb"), Some(dir.join("teacher.uadb")))
+        .unwrap();
+    let handle =
+        Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap().spawn().unwrap();
+    for (path, fixture) in
+        [("/score/golden", "score_booster.json"), ("/score/golden?variant=both", "score_both.json")]
+    {
+        let (status, body) = post(handle.addr(), path, GOLDEN_ROWS);
+        assert_eq!(status, 200, "{path}: {body}");
+        let fixture = dir.join(fixture);
+        if regen {
+            std::fs::write(&fixture, &body).unwrap();
         }
-        handle.shutdown();
+        let expected = std::fs::read_to_string(&fixture).expect("response fixture missing");
+        assert_eq!(body, expected, "{path} drifted from {}", fixture.display());
     }
+    handle.shutdown();
 }

@@ -4,10 +4,8 @@
 //! buffer), pipelined bursts, and connection-budget saturation with
 //! idle keep-alive clients.
 //!
-//! Every test runs against each available I/O backend (threads
-//! everywhere, epoll additionally on Linux; pin one with
-//! `UADB_SERVE_IO=threads|epoll`), asserting identical observable
-//! behaviour — and, for scoring, bit-identical response bytes.
+//! Scoring responses must stay bit-identical to in-process scoring
+//! throughout.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,7 +18,7 @@ use uadb_linalg::Matrix;
 use uadb_serve::json::{self, Value};
 use uadb_serve::model::ServedModel;
 use uadb_serve::pool::PoolConfig;
-use uadb_serve::{IoMode, ModelRegistry, Server, ServerConfig, ServerHandle};
+use uadb_serve::{ModelRegistry, Server, ServerConfig, ServerHandle};
 
 fn trained_model(seed: u64) -> Arc<ServedModel> {
     let data = fig5_dataset(AnomalyType::Clustered, seed);
@@ -29,27 +27,9 @@ fn trained_model(seed: u64) -> Arc<ServedModel> {
     )
 }
 
-/// The I/O backends this host can run, or the one `UADB_SERVE_IO` pins.
-fn backends() -> Vec<IoMode> {
-    match std::env::var("UADB_SERVE_IO").as_deref() {
-        Ok("threads") => vec![IoMode::Threads],
-        Ok("epoll") => vec![IoMode::Epoll],
-        Ok(other) => panic!("UADB_SERVE_IO must be threads|epoll, got `{other}`"),
-        Err(_) => {
-            let mut all = vec![IoMode::Threads];
-            if cfg!(target_os = "linux") {
-                all.push(IoMode::Epoll);
-            }
-            all
-        }
-    }
-}
-
 fn spawn_with(model: &Arc<ServedModel>, config: ServerConfig) -> ServerHandle {
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .insert("default", Arc::clone(model), PoolConfig { workers: 2, shard_rows: 64 })
-        .unwrap();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 64 }));
+    registry.insert("default", Arc::clone(model)).unwrap();
     Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()
 }
 
@@ -131,59 +111,54 @@ fn drain_to_eof(stream: &mut TcpStream) -> Vec<u8> {
 #[test]
 fn slow_loris_partial_requests_are_reaped_without_pinning_the_server() {
     let model = trained_model(70);
-    for io in backends() {
-        let config = ServerConfig {
-            max_connections: 8,
-            max_requests_per_conn: 100,
-            idle_timeout: Duration::from_secs(5),
-            io_timeout: Duration::from_millis(300),
-            io,
-            shards: 1,
-        };
-        let handle = spawn_with(&model, config);
-        let addr = handle.addr();
+    let config = ServerConfig {
+        max_connections: 8,
+        max_requests_per_conn: 100,
+        idle_timeout: Duration::from_secs(5),
+        io_timeout: Duration::from_millis(300),
+        shards: 1,
+    };
+    let handle = spawn_with(&model, config);
+    let addr = handle.addr();
 
-        // Drip half a request head, then stall forever.
-        let mut loris_head = TcpStream::connect(addr).unwrap();
-        loris_head.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        loris_head.write_all(b"POST /score HTTP/1.1\r\nContent-Le").unwrap();
+    // Drip half a request head, then stall forever.
+    let mut loris_head = TcpStream::connect(addr).unwrap();
+    loris_head.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    loris_head.write_all(b"POST /score HTTP/1.1\r\nContent-Le").unwrap();
 
-        // Declare a body, deliver a tenth of it, stall.
-        let mut loris_body = TcpStream::connect(addr).unwrap();
-        loris_body.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        loris_body
-            .write_all(b"POST /score HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"rows\": ")
-            .unwrap();
+    // Declare a body, deliver a tenth of it, stall.
+    let mut loris_body = TcpStream::connect(addr).unwrap();
+    loris_body.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    loris_body
+        .write_all(b"POST /score HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"rows\": ")
+        .unwrap();
 
-        // Both get the stalled-request answer and a close, well before
-        // the idle timeout — the io timeout governs mid-request.
-        let started = Instant::now();
-        for (name, stream) in [("head", &mut loris_head), ("body", &mut loris_body)] {
-            let leftovers = drain_to_eof(stream);
-            let text = String::from_utf8_lossy(&leftovers);
-            assert!(
-                text.starts_with("HTTP/1.1 408 "),
-                "[{} {name}] expected 408 before close, got {text:?}",
-                io.name()
-            );
-        }
+    // Both get the stalled-request answer and a close, well before
+    // the idle timeout — the io timeout governs mid-request.
+    let started = Instant::now();
+    for (name, stream) in [("head", &mut loris_head), ("body", &mut loris_body)] {
+        let leftovers = drain_to_eof(stream);
+        let text = String::from_utf8_lossy(&leftovers);
         assert!(
-            started.elapsed() < Duration::from_secs(4),
-            "[{}] slow-loris reap took the idle path, not the io path",
-            io.name()
+            text.starts_with("HTTP/1.1 408 "),
+            "[{name}] expected 408 before close, got {text:?}"
         );
-
-        // The server is not pinned: a normal client still round-trips.
-        let data = fig5_dataset(AnomalyType::Clustered, 70);
-        let mut ok = TcpStream::connect(addr).unwrap();
-        ok.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        ok.write_all(score_request(&data.x, &[0, 1, 2], true).as_bytes()).unwrap();
-        let mut reader = BufReader::new(ok);
-        let (status, body) = read_response(&mut reader);
-        assert_eq!(status, 200, "[{}] body: {body}", io.name());
-
-        handle.shutdown();
     }
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "slow-loris reap took the idle path, not the io path"
+    );
+
+    // The server is not pinned: a normal client still round-trips.
+    let data = fig5_dataset(AnomalyType::Clustered, 70);
+    let mut ok = TcpStream::connect(addr).unwrap();
+    ok.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    ok.write_all(score_request(&data.x, &[0, 1, 2], true).as_bytes()).unwrap();
+    let mut reader = BufReader::new(ok);
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "body: {body}");
+
+    handle.shutdown();
 }
 
 /// Shrinks a socket's receive buffer before the window is negotiated so
@@ -239,49 +214,45 @@ fn stalled_reader_gets_every_pipelined_response_after_partial_writes() {
     let expected = model.score_rows(&data.x.select_rows(&slice)).unwrap();
     const PIPELINED: usize = 10;
 
-    for io in backends() {
-        let config = ServerConfig {
-            max_connections: 8,
-            max_requests_per_conn: 100,
-            idle_timeout: Duration::from_secs(10),
-            io_timeout: Duration::from_secs(10),
-            io,
-            shards: 1,
-        };
-        let handle = spawn_with(&model, config);
-        let addr = handle.addr();
+    let config = ServerConfig {
+        max_connections: 8,
+        max_requests_per_conn: 100,
+        idle_timeout: Duration::from_secs(10),
+        io_timeout: Duration::from_secs(10),
+        shards: 1,
+    };
+    let handle = spawn_with(&model, config);
+    let addr = handle.addr();
 
-        let stream = tiny_rcvbuf_client(addr);
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let request = score_request(&data.x, &slice, false);
-        // Write on a side thread: with the reader stalled, the requests
-        // themselves can exceed what the server will buffer at once.
-        let sender = std::thread::spawn(move || {
-            for _ in 0..PIPELINED {
-                writer.write_all(request.as_bytes()).expect("pipelined send");
-            }
-        });
-        // Let responses pile into the full socket buffer.
-        std::thread::sleep(Duration::from_millis(400));
-        let mut reader = BufReader::new(stream);
-        for i in 0..PIPELINED {
-            let (status, body) = read_response(&mut reader);
-            assert_eq!(status, 200, "[{}] response {i}: {body}", io.name());
-            let scores = parse_scores(&body);
-            assert_eq!(scores.len(), expected.len());
-            for (j, (a, b)) in scores.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "[{}] response {i} row {j} differs after partial writes",
-                    io.name()
-                );
-            }
+    let stream = tiny_rcvbuf_client(addr);
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let request = score_request(&data.x, &slice, false);
+    // Write on a side thread: with the reader stalled, the requests
+    // themselves can exceed what the server will buffer at once.
+    let sender = std::thread::spawn(move || {
+        for _ in 0..PIPELINED {
+            writer.write_all(request.as_bytes()).expect("pipelined send");
         }
-        sender.join().expect("sender thread");
-        handle.shutdown();
+    });
+    // Let responses pile into the full socket buffer.
+    std::thread::sleep(Duration::from_millis(400));
+    let mut reader = BufReader::new(stream);
+    for i in 0..PIPELINED {
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200, "response {i}: {body}");
+        let scores = parse_scores(&body);
+        assert_eq!(scores.len(), expected.len());
+        for (j, (a, b)) in scores.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "response {i} row {j} differs after partial writes"
+            );
+        }
     }
+    sender.join().expect("sender thread");
+    handle.shutdown();
 }
 
 #[test]
@@ -289,151 +260,133 @@ fn pipelined_burst_is_answered_in_order_and_bit_identical_to_sequential() {
     let model = trained_model(72);
     let data = fig5_dataset(AnomalyType::Clustered, 72);
     let slices: [&[usize]; 4] = [&[0, 1, 2], &[499], &[10, 20, 30, 40, 50], &[3]];
-    for io in backends() {
-        let handle = spawn_with(&model, ServerConfig { io, ..ServerConfig::default() });
-        let addr = handle.addr();
+    let handle = spawn_with(&model, ServerConfig::default());
+    let addr = handle.addr();
 
-        // Sequential reference on fresh connections.
-        let mut sequential = Vec::new();
-        for slice in slices {
-            let mut one = TcpStream::connect(addr).unwrap();
-            one.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            one.write_all(score_request(&data.x, slice, true).as_bytes()).unwrap();
-            let mut reader = BufReader::new(one);
-            let (status, body) = read_response(&mut reader);
-            assert_eq!(status, 200);
-            sequential.push(body);
-        }
-
-        // The same requests as ONE write, interleaved with a cheap
-        // inline endpoint mid-burst.
-        let mut burst = String::new();
-        for slice in &slices[..2] {
-            burst.push_str(&score_request(&data.x, slice, false));
-        }
-        burst.push_str("GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
-        for slice in &slices[2..] {
-            burst.push_str(&score_request(&data.x, slice, false));
-        }
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        stream.write_all(burst.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream);
-        // Responses come back in request order: two scores, the
-        // healthz, two more scores — score bodies byte-identical to the
-        // sequential reference.
-        for (i, expected_body) in sequential.iter().enumerate() {
-            if i == 2 {
-                let (status, health) = read_response(&mut reader);
-                assert_eq!(status, 200, "[{}] mid-burst healthz", io.name());
-                assert!(health.contains("\"status\":\"ok\""));
-            }
-            let (status, body) = read_response(&mut reader);
-            assert_eq!(status, 200);
-            assert_eq!(
-                body,
-                *expected_body,
-                "[{}] pipelined response {i} differs from sequential",
-                io.name()
-            );
-        }
-        handle.shutdown();
+    // Sequential reference on fresh connections.
+    let mut sequential = Vec::new();
+    for slice in slices {
+        let mut one = TcpStream::connect(addr).unwrap();
+        one.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        one.write_all(score_request(&data.x, slice, true).as_bytes()).unwrap();
+        let mut reader = BufReader::new(one);
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        sequential.push(body);
     }
+
+    // The same requests as ONE write, interleaved with a cheap
+    // inline endpoint mid-burst.
+    let mut burst = String::new();
+    for slice in &slices[..2] {
+        burst.push_str(&score_request(&data.x, slice, false));
+    }
+    burst.push_str("GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    for slice in &slices[2..] {
+        burst.push_str(&score_request(&data.x, slice, false));
+    }
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    // Responses come back in request order: two scores, the
+    // healthz, two more scores — score bodies byte-identical to the
+    // sequential reference.
+    for (i, expected_body) in sequential.iter().enumerate() {
+        if i == 2 {
+            let (status, health) = read_response(&mut reader);
+            assert_eq!(status, 200, "mid-burst healthz");
+            assert!(health.contains("\"status\":\"ok\""));
+        }
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert_eq!(body, *expected_body, "pipelined response {i} differs from sequential");
+    }
+    handle.shutdown();
 }
 
 #[test]
 fn idle_keepalive_connections_fill_the_budget_and_release_it() {
     let model = trained_model(73);
     const BUDGET: usize = 16;
-    for io in backends() {
-        let config = ServerConfig {
-            max_connections: BUDGET,
-            max_requests_per_conn: 100,
-            idle_timeout: Duration::from_secs(30),
-            io_timeout: Duration::from_secs(5),
-            io,
-            shards: 1,
-        };
-        let handle = spawn_with(&model, config);
-        let addr = handle.addr();
+    let config = ServerConfig {
+        max_connections: BUDGET,
+        max_requests_per_conn: 100,
+        idle_timeout: Duration::from_secs(30),
+        io_timeout: Duration::from_secs(5),
+        shards: 1,
+    };
+    let handle = spawn_with(&model, config);
+    let addr = handle.addr();
 
-        // Fill the whole budget with idle keep-alive connections (one
-        // warm-up roundtrip each, then silence).
-        let mut held = Vec::new();
-        for i in 0..BUDGET {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            c.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let mut reader = BufReader::new(c);
-            let (status, _) = read_response(&mut reader);
-            assert_eq!(status, 200, "[{}] connection {i}", io.name());
-            held.push(reader);
-        }
-
-        // The next client bounces with 503 even though every held
-        // connection is idle.
-        let mut extra = TcpStream::connect(addr).unwrap();
-        extra.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        extra.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-        let bytes = drain_to_eof(&mut extra);
-        assert!(
-            String::from_utf8_lossy(&bytes).starts_with("HTTP/1.1 503 "),
-            "[{}] over-budget client was not turned away",
-            io.name()
-        );
-
-        // Every held connection is still alive and serving.
-        for (i, reader) in held.iter_mut().enumerate() {
-            reader
-                .get_mut()
-                .write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
-                .unwrap();
-            let (status, body) = read_response(reader);
-            assert_eq!(status, 200, "[{}] held connection {i} died: {body}", io.name());
-        }
-
-        // Dropping one frees a slot for a newcomer, once the server has
-        // noticed the close.
-        drop(held.pop());
-        wait_for_open_at_most(&handle, held.len());
+    // Fill the whole budget with idle keep-alive connections (one
+    // warm-up roundtrip each, then silence).
+    let mut held = Vec::new();
+    for i in 0..BUDGET {
         let mut c = TcpStream::connect(addr).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        c.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let (status, body) = read_response(&mut BufReader::new(c));
-        assert_eq!(status, 200, "[{}] freed budget slot not reused: {body}", io.name());
-
-        handle.shutdown();
+        c.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(c);
+        let (status, _) = read_response(&mut reader);
+        assert_eq!(status, 200, "connection {i}");
+        held.push(reader);
     }
+
+    // The next client bounces with 503 even though every held
+    // connection is idle.
+    let mut extra = TcpStream::connect(addr).unwrap();
+    extra.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    extra.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+    let bytes = drain_to_eof(&mut extra);
+    assert!(
+        String::from_utf8_lossy(&bytes).starts_with("HTTP/1.1 503 "),
+        "over-budget client was not turned away"
+    );
+
+    // Every held connection is still alive and serving.
+    for (i, reader) in held.iter_mut().enumerate() {
+        reader.get_mut().write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let (status, body) = read_response(reader);
+        assert_eq!(status, 200, "held connection {i} died: {body}");
+    }
+
+    // Dropping one frees a slot for a newcomer, once the server has
+    // noticed the close.
+    drop(held.pop());
+    wait_for_open_at_most(&handle, held.len());
+    let mut c = TcpStream::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    c.write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n").unwrap();
+    let (status, body) = read_response(&mut BufReader::new(c));
+    assert_eq!(status, 200, "freed budget slot not reused: {body}");
+
+    handle.shutdown();
 }
 
 /// The acceptance criterion of the reactor: a connection budget at
-/// least 4× the threaded backend's default, held concurrently by live
+/// least 4× the default, held concurrently by live
 /// keep-alive clients against a small fixed worker pool, on one event
 /// loop. 1024 connections cost the reactor two buffers each — not 1024
 /// OS threads.
 #[cfg(target_os = "linux")]
 #[test]
-fn epoll_sustains_4x_the_threaded_default_connection_budget() {
+fn epoll_sustains_4x_the_default_connection_budget() {
     const CONNS: usize = 1024;
     assert!(
         CONNS >= 4 * ServerConfig::default().max_connections,
-        "test must exercise ≥ 4× the threaded default budget"
+        "test must exercise ≥ 4× the default budget"
     );
     let model = trained_model(74);
     let data = fig5_dataset(AnomalyType::Clustered, 74);
     let expected = model.score_rows(&data.x.select_rows(&[0, 1, 2])).unwrap();
 
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .insert("default", Arc::clone(&model), PoolConfig { workers: 4, shard_rows: 64 })
-        .unwrap();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 4, shard_rows: 64 }));
+    registry.insert("default", Arc::clone(&model)).unwrap();
     let config = ServerConfig {
         max_connections: CONNS,
         max_requests_per_conn: 1000,
         idle_timeout: Duration::from_secs(60),
         io_timeout: Duration::from_secs(10),
-        io: IoMode::Epoll,
         shards: 4,
     };
     let handle = Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap();
@@ -493,33 +446,30 @@ fn epoll_sustains_4x_the_threaded_default_connection_budget() {
 #[test]
 fn eof_during_inflight_score_still_answers_the_truncated_leftover() {
     // A client sends one complete scoring request plus the *front half*
-    // of a second one, then half-closes. Whatever backend, the score
-    // must come back followed by a 400 for the truncated leftover, then
-    // a clean close — even though the EOF lands while the score is
-    // still on the pool.
+    // of a second one, then half-closes. The score must come back
+    // followed by a 400 for the truncated leftover, then a clean close —
+    // even though the EOF lands while the score is still on the pool.
     let model = trained_model(75);
     let data = fig5_dataset(AnomalyType::Clustered, 75);
-    for io in backends() {
-        let handle = spawn_with(&model, ServerConfig { io, ..ServerConfig::default() });
+    let handle = spawn_with(&model, ServerConfig::default());
 
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut wire = score_request(&data.x, &[0, 1, 2, 3], false);
-        wire.push_str("POST /score HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"rows");
-        stream.write_all(wire.as_bytes()).unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut wire = score_request(&data.x, &[0, 1, 2, 3], false);
+    wire.push_str("POST /score HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"rows");
+    stream.write_all(wire.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
 
-        let mut reader = BufReader::new(stream);
-        let (status, body) = read_response(&mut reader);
-        assert_eq!(status, 200, "[{}] score response: {body}", io.name());
-        assert_eq!(parse_scores(&body).len(), 4);
-        let (status, _) = read_response(&mut reader);
-        assert_eq!(status, 400, "[{}] truncated leftover must be answered", io.name());
-        let leftover = drain_to_eof(reader.get_mut());
-        assert!(leftover.is_empty(), "[{}] expected clean close", io.name());
+    let mut reader = BufReader::new(stream);
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "score response: {body}");
+    assert_eq!(parse_scores(&body).len(), 4);
+    let (status, _) = read_response(&mut reader);
+    assert_eq!(status, 400, "truncated leftover must be answered");
+    let leftover = drain_to_eof(reader.get_mut());
+    assert!(leftover.is_empty(), "expected clean close");
 
-        handle.shutdown();
-    }
+    handle.shutdown();
 }
 
 // --------------------- binary wire protocol ----------------------
@@ -594,63 +544,61 @@ fn binary_hostile_payloads_get_4xx_not_crash() {
     let data = fig5_dataset(AnomalyType::Clustered, 76);
     let cols = data.x.cols();
     let good = binary_body(&data.x, &[0, 1], 2);
-    for io in backends() {
-        let handle = spawn_with(&model, ServerConfig { io, ..ServerConfig::default() });
-        let addr = handle.addr();
+    let handle = spawn_with(&model, ServerConfig::default());
+    let addr = handle.addr();
 
-        let mut cases: Vec<(&str, Vec<u8>, u16)> = Vec::new();
-        // Truncated header: fewer bytes than the fixed 16-byte prefix.
-        cases.push(("truncated header", good[..10].to_vec(), 400));
-        // Truncated row payload: the header declares two rows, the body
-        // carries one.
-        let mut short = good.clone();
-        short.truncate(16 + cols * 8);
-        cases.push(("truncated row payload", short, 400));
-        // Declared dimensions whose product overflows / dwarfs the body
-        // cap — must be rejected up front, never allocated.
-        let mut huge = good[..16].to_vec();
-        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        cases.push(("oversized declared length", huge, 400));
-        // Unknown dtype code.
-        let mut bad_dtype = good.clone();
-        bad_dtype[5] = 9;
-        cases.push(("unknown dtype", bad_dtype, 400));
-        // Wrong magic.
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        cases.push(("bad magic", bad_magic, 400));
-        // A well-formed payload whose width disagrees with the model:
-        // decodes fine, rejected by scoring exactly like wrong-width
-        // JSON rows.
-        let mut wrong_width = Vec::new();
-        wrong_width.extend_from_slice(b"UROW");
-        wrong_width.push(1);
-        wrong_width.push(2);
-        wrong_width.extend_from_slice(&0u16.to_le_bytes());
-        wrong_width.extend_from_slice(&2u32.to_le_bytes());
-        wrong_width.extend_from_slice(&((cols + 1) as u32).to_le_bytes());
-        for _ in 0..2 * (cols + 1) {
-            wrong_width.extend_from_slice(&1.0f64.to_le_bytes());
-        }
-        cases.push(("width mismatch", wrong_width, 422));
-
-        for (what, body, want_status) in cases {
-            let mut c = TcpStream::connect(addr).unwrap();
-            c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            c.write_all(&binary_request_raw(&body, false)).unwrap();
-            let mut reader = BufReader::new(c);
-            let (status, _, _) = read_binary_response(&mut reader);
-            assert_eq!(status, want_status, "[{}] {what}", io.name());
-            // The connection survives the reject and still scores.
-            reader.get_mut().write_all(&binary_request_raw(&good, true)).unwrap();
-            let (status, ctype, scores) = read_binary_response(&mut reader);
-            assert_eq!(status, 200, "[{}] follow-up after {what}", io.name());
-            assert_eq!(ctype, "application/x-uadb-scores", "[{}] {what}", io.name());
-            assert_eq!(scores.len(), 2 * 8, "[{}] {what}", io.name());
-        }
-        handle.shutdown();
+    let mut cases: Vec<(&str, Vec<u8>, u16)> = Vec::new();
+    // Truncated header: fewer bytes than the fixed 16-byte prefix.
+    cases.push(("truncated header", good[..10].to_vec(), 400));
+    // Truncated row payload: the header declares two rows, the body
+    // carries one.
+    let mut short = good.clone();
+    short.truncate(16 + cols * 8);
+    cases.push(("truncated row payload", short, 400));
+    // Declared dimensions whose product overflows / dwarfs the body
+    // cap — must be rejected up front, never allocated.
+    let mut huge = good[..16].to_vec();
+    huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    cases.push(("oversized declared length", huge, 400));
+    // Unknown dtype code.
+    let mut bad_dtype = good.clone();
+    bad_dtype[5] = 9;
+    cases.push(("unknown dtype", bad_dtype, 400));
+    // Wrong magic.
+    let mut bad_magic = good.clone();
+    bad_magic[0] = b'X';
+    cases.push(("bad magic", bad_magic, 400));
+    // A well-formed payload whose width disagrees with the model:
+    // decodes fine, rejected by scoring exactly like wrong-width
+    // JSON rows.
+    let mut wrong_width = Vec::new();
+    wrong_width.extend_from_slice(b"UROW");
+    wrong_width.push(1);
+    wrong_width.push(2);
+    wrong_width.extend_from_slice(&0u16.to_le_bytes());
+    wrong_width.extend_from_slice(&2u32.to_le_bytes());
+    wrong_width.extend_from_slice(&((cols + 1) as u32).to_le_bytes());
+    for _ in 0..2 * (cols + 1) {
+        wrong_width.extend_from_slice(&1.0f64.to_le_bytes());
     }
+    cases.push(("width mismatch", wrong_width, 422));
+
+    for (what, body, want_status) in cases {
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c.write_all(&binary_request_raw(&body, false)).unwrap();
+        let mut reader = BufReader::new(c);
+        let (status, _, _) = read_binary_response(&mut reader);
+        assert_eq!(status, want_status, "{what}");
+        // The connection survives the reject and still scores.
+        reader.get_mut().write_all(&binary_request_raw(&good, true)).unwrap();
+        let (status, ctype, scores) = read_binary_response(&mut reader);
+        assert_eq!(status, 200, "follow-up after {what}");
+        assert_eq!(ctype, "application/x-uadb-scores", "{what}");
+        assert_eq!(scores.len(), 2 * 8, "{what}");
+    }
+    handle.shutdown();
 }
 
 #[test]
@@ -659,32 +607,27 @@ fn binary_f64_scores_are_bit_identical_to_json() {
     let data = fig5_dataset(AnomalyType::Clustered, 77);
     let rows: Vec<usize> = (0..32).collect();
     let expected = model.score_rows(&data.x.select_rows(&rows)).unwrap();
-    for io in backends() {
-        let handle = spawn_with(&model, ServerConfig { io, ..ServerConfig::default() });
-        let mut c = TcpStream::connect(handle.addr()).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        c.write_all(score_request(&data.x, &rows, false).as_bytes()).unwrap();
-        let mut reader = BufReader::new(c);
-        let (status, body) = read_response(&mut reader);
-        assert_eq!(status, 200, "[{}] JSON: {body}", io.name());
-        let json_scores = parse_scores(&body);
+    let handle = spawn_with(&model, ServerConfig::default());
+    let mut c = TcpStream::connect(handle.addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    c.write_all(score_request(&data.x, &rows, false).as_bytes()).unwrap();
+    let mut reader = BufReader::new(c);
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 200, "JSON: {body}");
+    let json_scores = parse_scores(&body);
 
-        // Same connection, switching formats mid-stream (keep-alive).
-        reader
-            .get_mut()
-            .write_all(&binary_request_raw(&binary_body(&data.x, &rows, 2), true))
-            .unwrap();
-        let (status, ctype, bytes) = read_binary_response(&mut reader);
-        assert_eq!(status, 200, "[{}] binary", io.name());
-        assert_eq!(ctype, "application/x-uadb-scores", "[{}]", io.name());
-        assert_eq!(bytes.len(), rows.len() * 8, "[{}]", io.name());
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            let bin = f64::from_le_bytes(chunk.try_into().unwrap());
-            assert_eq!(bin.to_bits(), expected[i].to_bits(), "[{}] row {i} vs oracle", io.name());
-            assert_eq!(bin.to_bits(), json_scores[i].to_bits(), "[{}] row {i} vs JSON", io.name());
-        }
-        handle.shutdown();
+    // Same connection, switching formats mid-stream (keep-alive).
+    reader.get_mut().write_all(&binary_request_raw(&binary_body(&data.x, &rows, 2), true)).unwrap();
+    let (status, ctype, bytes) = read_binary_response(&mut reader);
+    assert_eq!(status, 200, "binary");
+    assert_eq!(ctype, "application/x-uadb-scores");
+    assert_eq!(bytes.len(), rows.len() * 8);
+    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
+        let bin = f64::from_le_bytes(chunk.try_into().unwrap());
+        assert_eq!(bin.to_bits(), expected[i].to_bits(), "row {i} vs oracle");
+        assert_eq!(bin.to_bits(), json_scores[i].to_bits(), "row {i} vs JSON");
     }
+    handle.shutdown();
 }
 
 #[test]
@@ -706,22 +649,20 @@ fn binary_f32_scores_equal_the_quantized_f64_pipeline() {
     let quantized = Matrix::from_vec(rows.len(), cols, quantized).unwrap();
     let expected: Vec<f32> =
         model.score_rows(&quantized).unwrap().iter().map(|s| *s as f32).collect();
-    for io in backends() {
-        let handle = spawn_with(&model, ServerConfig { io, ..ServerConfig::default() });
-        let mut c = TcpStream::connect(handle.addr()).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        c.write_all(&binary_request_raw(&binary_body(&data.x, &rows, 1), true)).unwrap();
-        let mut reader = BufReader::new(c);
-        let (status, ctype, bytes) = read_binary_response(&mut reader);
-        assert_eq!(status, 200, "[{}]", io.name());
-        assert_eq!(ctype, "application/x-uadb-scores", "[{}]", io.name());
-        assert_eq!(bytes.len(), rows.len() * 4, "[{}]", io.name());
-        for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-            let got = f32::from_le_bytes(chunk.try_into().unwrap());
-            assert_eq!(got.to_bits(), expected[i].to_bits(), "[{}] row {i}", io.name());
-        }
-        handle.shutdown();
+    let handle = spawn_with(&model, ServerConfig::default());
+    let mut c = TcpStream::connect(handle.addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    c.write_all(&binary_request_raw(&binary_body(&data.x, &rows, 1), true)).unwrap();
+    let mut reader = BufReader::new(c);
+    let (status, ctype, bytes) = read_binary_response(&mut reader);
+    assert_eq!(status, 200);
+    assert_eq!(ctype, "application/x-uadb-scores");
+    assert_eq!(bytes.len(), rows.len() * 4);
+    for (i, chunk) in bytes.chunks_exact(4).enumerate() {
+        let got = f32::from_le_bytes(chunk.try_into().unwrap());
+        assert_eq!(got.to_bits(), expected[i].to_bits(), "row {i}");
     }
+    handle.shutdown();
 }
 
 // ------------------------ accept fairness ------------------------
@@ -741,7 +682,6 @@ fn connect_flood_does_not_starve_active_scorer() {
         max_requests_per_conn: 10_000,
         idle_timeout: Duration::from_secs(30),
         io_timeout: Duration::from_secs(10),
-        io: IoMode::Epoll,
         shards: 1, // one loop: accepts and scorer I/O compete directly
     };
     let handle = spawn_with(&model, config);

@@ -1,5 +1,4 @@
-//! Telemetry-plane integration: a live server scraped over HTTP on
-//! every available I/O backend.
+//! Telemetry-plane integration: a live server scraped over HTTP.
 //!
 //! Pins three properties end to end:
 //!
@@ -16,7 +15,7 @@
 //! The metrics plane is process-global (`uadb_serve::metrics()`), and
 //! all tests in this binary share one process: assertions are
 //! presence/monotonicity-based, never exact-count, so tests compose in
-//! any order and across backends.
+//! any order.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -30,34 +29,16 @@ use uadb_linalg::Matrix;
 use uadb_serve::json::{self, Value};
 use uadb_serve::model::ServedModel;
 use uadb_serve::pool::PoolConfig;
-use uadb_serve::{IoMode, ModelRegistry, Server, ServerConfig, ServerHandle};
+use uadb_serve::{ModelRegistry, Server, ServerConfig, ServerHandle};
 
 fn trained_model(seed: u64) -> ServedModel {
     let data = fig5_dataset(AnomalyType::Clustered, seed);
     ServedModel::train(&data, DetectorKind::Hbos, UadbConfig::fast_for_tests(seed)).unwrap()
 }
 
-/// The I/O backends this host can run, or the one `UADB_SERVE_IO` pins.
-fn backends() -> Vec<IoMode> {
-    match std::env::var("UADB_SERVE_IO").as_deref() {
-        Ok("threads") => vec![IoMode::Threads],
-        Ok("epoll") => vec![IoMode::Epoll],
-        Ok(other) => panic!("UADB_SERVE_IO must be threads|epoll, got `{other}`"),
-        Err(_) => {
-            let mut all = vec![IoMode::Threads];
-            if cfg!(target_os = "linux") {
-                all.push(IoMode::Epoll);
-            }
-            all
-        }
-    }
-}
-
 fn spawn_with(model: &Arc<ServedModel>, config: ServerConfig) -> ServerHandle {
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .insert("default", Arc::clone(model), PoolConfig { workers: 2, shard_rows: 16 })
-        .unwrap();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 16 }));
+    registry.insert("default", Arc::clone(model)).unwrap();
     Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()
 }
 
@@ -241,149 +222,141 @@ fn metrics_scrape_under_load_is_valid_and_scores_stay_bit_identical() {
     let served = Arc::new(trained_model(71));
     let data = fig5_dataset(AnomalyType::Clustered, 71);
     let expected = served.score_rows(&data.x).unwrap();
-    for io in backends() {
-        let handle = spawn_with(&served, ServerConfig { io, ..ServerConfig::default() });
-        let addr = handle.addr();
+    let handle = spawn_with(&served, ServerConfig::default());
+    let addr = handle.addr();
 
-        // Concurrent scoring load; every response must match in-process
-        // scoring bit for bit even with the telemetry plane recording
-        // every stage.
-        let slices: Vec<Vec<usize>> = vec![
-            (0..data.n_samples()).collect(),
-            (0..40).collect(),
-            vec![7],
-            (0..data.n_samples()).step_by(7).collect(),
-        ];
-        let mut threads = Vec::new();
-        for slice in slices {
-            let x = data.x.clone();
-            let expected = expected.clone();
-            threads.push(std::thread::spawn(move || {
-                for _ in 0..3 {
-                    let (status, payload) =
-                        request(addr, "POST", "/score", Some(&rows_json(&x, &slice)));
-                    assert_eq!(status, 200, "body: {payload}");
-                    let scores = parse_scores(&payload);
-                    for (pos, &row) in slice.iter().enumerate() {
-                        assert_eq!(scores[pos].to_bits(), expected[row].to_bits(), "row {row}");
-                    }
-                    // Interleave scrapes with the scoring load.
-                    let (status, body) = request(addr, "GET", "/metrics", None);
-                    assert_eq!(status, 200);
-                    parse_exposition(&body);
+    // Concurrent scoring load; every response must match in-process
+    // scoring bit for bit even with the telemetry plane recording
+    // every stage.
+    let slices: Vec<Vec<usize>> = vec![
+        (0..data.n_samples()).collect(),
+        (0..40).collect(),
+        vec![7],
+        (0..data.n_samples()).step_by(7).collect(),
+    ];
+    let mut threads = Vec::new();
+    for slice in slices {
+        let x = data.x.clone();
+        let expected = expected.clone();
+        threads.push(std::thread::spawn(move || {
+            for _ in 0..3 {
+                let (status, payload) =
+                    request(addr, "POST", "/score", Some(&rows_json(&x, &slice)));
+                assert_eq!(status, 200, "body: {payload}");
+                let scores = parse_scores(&payload);
+                for (pos, &row) in slice.iter().enumerate() {
+                    assert_eq!(scores[pos].to_bits(), expected[row].to_bits(), "row {row}");
                 }
-            }));
-        }
-        for t in threads {
-            t.join().expect("client thread");
-        }
-
-        // A final scrape must carry every required series.
-        let (status, body) = request(addr, "GET", "/metrics", None);
-        assert_eq!(status, 200, "[{}]", io.name());
-        let series = parse_exposition(&body);
-        for required in [
-            "uadb_request_duration_seconds_count",
-            "uadb_stage_duration_seconds_bucket{stage=\"parse\"",
-            "uadb_stage_duration_seconds_bucket{stage=\"score\"",
-            "uadb_stage_duration_seconds_bucket{stage=\"queue_wait\"",
-            "uadb_stage_duration_seconds_bucket{stage=\"serialize\"",
-            "uadb_stage_duration_seconds_bucket{stage=\"write_flush\"",
-            "uadb_http_requests_total",
-            "uadb_http_connections_opened_total",
-            "uadb_http_open_connections",
-            "uadb_pool_queue_depth",
-            "uadb_pool_shards_total",
-            "uadb_pool_worker_busy_nanoseconds_total",
-            "uadb_model_requests_total{model=\"default\",variant=\"booster\"}",
-            "uadb_model_rows_total{model=\"default\",variant=\"booster\"}",
-            "uadb_gemm_packs_built_total",
-            "uadb_gemm_calls_total",
-            "uadb_log_dropped_total",
-        ] {
-            assert!(
-                series_with_prefix(&series, required).is_some(),
-                "[{}] missing series `{required}` in:\n{body}",
-                io.name()
-            );
-        }
-        // The scoring load left its marks: requests counted, shards
-        // scored, the queue drained back to a small steady state.
-        let (_, reqs) =
-            series_with_prefix(&series, "uadb_model_requests_total{model=\"default\"").unwrap();
-        assert!(reqs >= 12.0, "[{}] model requests {reqs}", io.name());
-        let (_, shards) = series_with_prefix(&series, "uadb_pool_shards_total").unwrap();
-        assert!(shards >= 1.0, "[{}] pool shards {shards}", io.name());
-
-        // /healthz grew latency percentiles and rejection counters.
-        let (_, body) = request(addr, "GET", "/healthz", None);
-        let health = json::parse(&body).unwrap();
-        let p50 = health.get("latency_ms").and_then(|l| l.get("p50")).and_then(Value::as_f64);
-        assert!(p50.is_some(), "[{}] /healthz latency_ms.p50 missing: {body}", io.name());
-        let p99 = health.get("latency_ms").and_then(|l| l.get("p99")).and_then(Value::as_f64);
-        assert!(p99.unwrap() >= p50.unwrap(), "[{}] p99 < p50", io.name());
-        assert!(health.get("rejected_total").and_then(Value::as_f64).is_some());
-        assert!(health.get("worker_panics_total").and_then(Value::as_f64).is_some());
-
-        handle.shutdown();
+                // Interleave scrapes with the scoring load.
+                let (status, body) = request(addr, "GET", "/metrics", None);
+                assert_eq!(status, 200);
+                parse_exposition(&body);
+            }
+        }));
     }
+    for t in threads {
+        t.join().expect("client thread");
+    }
+
+    // A final scrape must carry every required series.
+    let (status, body) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let series = parse_exposition(&body);
+    for required in [
+        "uadb_request_duration_seconds_count",
+        "uadb_stage_duration_seconds_bucket{stage=\"parse\"",
+        "uadb_stage_duration_seconds_bucket{stage=\"score\"",
+        "uadb_stage_duration_seconds_bucket{stage=\"queue_wait\"",
+        "uadb_stage_duration_seconds_bucket{stage=\"serialize\"",
+        "uadb_stage_duration_seconds_bucket{stage=\"write_flush\"",
+        "uadb_http_requests_total",
+        "uadb_http_connections_opened_total",
+        "uadb_http_open_connections",
+        "uadb_pool_queue_depth",
+        "uadb_pool_shards_total",
+        "uadb_pool_worker_busy_nanoseconds_total",
+        "uadb_model_requests_total{model=\"default\",variant=\"booster\"}",
+        "uadb_model_rows_total{model=\"default\",variant=\"booster\"}",
+        "uadb_gemm_packs_built_total",
+        "uadb_gemm_calls_total",
+        "uadb_log_dropped_total",
+    ] {
+        assert!(
+            series_with_prefix(&series, required).is_some(),
+            "missing series `{required}` in:\n{body}"
+        );
+    }
+    // The scoring load left its marks: requests counted, shards
+    // scored, the queue drained back to a small steady state.
+    let (_, reqs) =
+        series_with_prefix(&series, "uadb_model_requests_total{model=\"default\"").unwrap();
+    assert!(reqs >= 12.0, "model requests {reqs}");
+    let (_, shards) = series_with_prefix(&series, "uadb_pool_shards_total").unwrap();
+    assert!(shards >= 1.0, "pool shards {shards}");
+
+    // /healthz grew latency percentiles and rejection counters.
+    let (_, body) = request(addr, "GET", "/healthz", None);
+    let health = json::parse(&body).unwrap();
+    let p50 = health.get("latency_ms").and_then(|l| l.get("p50")).and_then(Value::as_f64);
+    assert!(p50.is_some(), "/healthz latency_ms.p50 missing: {body}");
+    let p99 = health.get("latency_ms").and_then(|l| l.get("p99")).and_then(Value::as_f64);
+    assert!(p99.unwrap() >= p50.unwrap(), "p99 < p50");
+    assert!(health.get("rejected_total").and_then(Value::as_f64).is_some());
+    assert!(health.get("worker_panics_total").and_then(Value::as_f64).is_some());
+
+    handle.shutdown();
 }
 
 #[test]
 fn over_budget_connections_count_as_rejections() {
     let served = Arc::new(trained_model(72));
-    for io in backends() {
-        let config = ServerConfig {
-            max_connections: 1,
-            max_requests_per_conn: 100,
-            idle_timeout: Duration::from_secs(5),
-            io_timeout: Duration::from_secs(5),
-            io,
-            shards: 1,
-        };
-        let handle = spawn_with(&served, config);
-        let addr = handle.addr();
+    let config = ServerConfig {
+        max_connections: 1,
+        max_requests_per_conn: 100,
+        idle_timeout: Duration::from_secs(5),
+        io_timeout: Duration::from_secs(5),
+        shards: 1,
+    };
+    let handle = spawn_with(&served, config);
+    let addr = handle.addr();
 
-        let (_, body) = request(addr, "GET", "/healthz", None);
-        let before =
-            json::parse(&body).unwrap().get("rejected_total").and_then(Value::as_f64).unwrap();
+    let (_, body) = request(addr, "GET", "/healthz", None);
+    let before = json::parse(&body).unwrap().get("rejected_total").and_then(Value::as_f64).unwrap();
 
-        // Hold the whole budget with one idle keep-alive connection,
-        // then connect again: 503, counted as an over-budget rejection.
-        // The probe above gives its slot back asynchronously, so wait
-        // for it before the holder connects.
-        wait_for_idle(&handle);
-        let mut holder = TcpStream::connect(addr).unwrap();
-        holder.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        holder.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n").unwrap();
-        let mut first = [0u8; 12];
-        holder.read_exact(&mut first).unwrap();
-        assert_eq!(&first, b"HTTP/1.1 200", "[{}] holder not admitted", io.name());
-        let (status, _) = request(addr, "GET", "/healthz", None);
-        assert_eq!(status, 503, "[{}]", io.name());
-        drop(holder);
+    // Hold the whole budget with one idle keep-alive connection,
+    // then connect again: 503, counted as an over-budget rejection.
+    // The probe above gives its slot back asynchronously, so wait
+    // for it before the holder connects.
+    wait_for_idle(&handle);
+    let mut holder = TcpStream::connect(addr).unwrap();
+    holder.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    holder.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n").unwrap();
+    let mut first = [0u8; 12];
+    holder.read_exact(&mut first).unwrap();
+    assert_eq!(&first, b"HTTP/1.1 200", "holder not admitted");
+    let (status, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 503);
+    drop(holder);
 
-        // Once the holder's slot is free, check both surfaces, waiting
-        // again before the scrape: a scrape that beats the release of
-        // the previous request's slot gets the 503 body instead. (>= +1:
-        // other tests in this process may reject too.)
-        wait_for_idle(&handle);
-        let (status, body) = request(addr, "GET", "/healthz", None);
-        assert_eq!(status, 200, "[{}]", io.name());
-        let after =
-            json::parse(&body).unwrap().get("rejected_total").and_then(Value::as_f64).unwrap();
-        assert!(after >= before + 1.0, "[{}] rejected_total {before} -> {after}", io.name());
+    // Once the holder's slot is free, check both surfaces, waiting
+    // again before the scrape: a scrape that beats the release of
+    // the previous request's slot gets the 503 body instead. (>= +1:
+    // other tests in this process may reject too.)
+    wait_for_idle(&handle);
+    let (status, body) = request(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+    let after = json::parse(&body).unwrap().get("rejected_total").and_then(Value::as_f64).unwrap();
+    assert!(after >= before + 1.0, "rejected_total {before} -> {after}");
 
-        wait_for_idle(&handle);
-        let (_, body) = request(addr, "GET", "/metrics", None);
-        let series = parse_exposition(&body);
-        let (_, rejected) =
-            series_with_prefix(&series, "uadb_http_rejected_total{reason=\"over_budget\"}")
-                .expect("over_budget series");
-        assert!(rejected >= 1.0);
+    wait_for_idle(&handle);
+    let (_, body) = request(addr, "GET", "/metrics", None);
+    let series = parse_exposition(&body);
+    let (_, rejected) =
+        series_with_prefix(&series, "uadb_http_rejected_total{reason=\"over_budget\"}")
+            .expect("over_budget series");
+    assert!(rejected >= 1.0);
 
-        handle.shutdown();
-    }
+    handle.shutdown();
 }
 
 #[test]
@@ -394,47 +367,41 @@ fn slow_ring_captures_requests_with_stage_breakdowns() {
     // binary will also land in the ring; assertions only require OUR
     // entries to show up with sane shapes.
     uadb_serve::metrics().set_slow_threshold_ms(0);
-    for io in backends() {
-        let handle = spawn_with(&served, ServerConfig { io, ..ServerConfig::default() });
-        let addr = handle.addr();
+    let handle = spawn_with(&served, ServerConfig::default());
+    let addr = handle.addr();
 
-        // Big enough that writing the JSON response is real work: std
-        // `Display` takes tens of ns per f64, so 4096 scores take well
-        // over 50 us on any host.
-        let rows: Vec<usize> = (0..4096).map(|i| i % data.x.rows()).collect();
-        let (status, _) = request(addr, "POST", "/score", Some(&rows_json(&data.x, &rows)));
-        assert_eq!(status, 200);
+    // Big enough that writing the JSON response is real work: std
+    // `Display` takes tens of ns per f64, so 4096 scores take well
+    // over 50 us on any host.
+    let rows: Vec<usize> = (0..4096).map(|i| i % data.x.rows()).collect();
+    let (status, _) = request(addr, "POST", "/score", Some(&rows_json(&data.x, &rows)));
+    assert_eq!(status, 200);
 
-        let (status, body) = request(addr, "GET", "/admin/slow", None);
-        assert_eq!(status, 200, "[{}]", io.name());
-        let doc = json::parse(&body).unwrap();
-        let entries = doc.get("slow").and_then(Value::as_array).expect("slow array");
-        assert!(!entries.is_empty(), "[{}] ring empty: {body}", io.name());
-        // At least one captured entry is a scoring request against our
-        // model with per-stage timings that sum to at most the total.
-        let scored = entries.iter().find(|e| {
-            e.get("model").and_then(Value::as_str) == Some("default")
-                && e.get("rows").and_then(Value::as_f64) == Some(4096.0)
-        });
-        let entry = scored.unwrap_or_else(|| panic!("[{}] no scored entry: {body}", io.name()));
-        assert_eq!(entry.get("variant").and_then(Value::as_str), Some("booster"));
-        assert_eq!(entry.get("status").and_then(Value::as_f64), Some(200.0));
-        assert!(entry.get("trace").and_then(Value::as_f64).unwrap() >= 1.0);
-        let total = entry.get("total_ms").and_then(Value::as_f64).unwrap();
-        let stages = entry.get("stages_ms").expect("stages_ms");
-        let score_ms = stages.get("score").and_then(Value::as_f64).unwrap_or(0.0);
-        assert!(score_ms <= total, "[{}] score {score_ms} > total {total}", io.name());
-        // The response is encoded on the thread that finished scoring;
-        // that time belongs to the serialize stage, not between stages.
-        let serialize_ms = stages.get("serialize").and_then(Value::as_f64).unwrap_or(0.0);
-        assert!(
-            serialize_ms >= 0.05,
-            "[{}] serialize stage {serialize_ms} ms misses the response encode",
-            io.name()
-        );
+    let (status, body) = request(addr, "GET", "/admin/slow", None);
+    assert_eq!(status, 200);
+    let doc = json::parse(&body).unwrap();
+    let entries = doc.get("slow").and_then(Value::as_array).expect("slow array");
+    assert!(!entries.is_empty(), "ring empty: {body}");
+    // At least one captured entry is a scoring request against our
+    // model with per-stage timings that sum to at most the total.
+    let scored = entries.iter().find(|e| {
+        e.get("model").and_then(Value::as_str) == Some("default")
+            && e.get("rows").and_then(Value::as_f64) == Some(4096.0)
+    });
+    let entry = scored.unwrap_or_else(|| panic!("no scored entry: {body}"));
+    assert_eq!(entry.get("variant").and_then(Value::as_str), Some("booster"));
+    assert_eq!(entry.get("status").and_then(Value::as_f64), Some(200.0));
+    assert!(entry.get("trace").and_then(Value::as_f64).unwrap() >= 1.0);
+    let total = entry.get("total_ms").and_then(Value::as_f64).unwrap();
+    let stages = entry.get("stages_ms").expect("stages_ms");
+    let score_ms = stages.get("score").and_then(Value::as_f64).unwrap_or(0.0);
+    assert!(score_ms <= total, "score {score_ms} > total {total}");
+    // The response is encoded on the thread that finished scoring;
+    // that time belongs to the serialize stage, not between stages.
+    let serialize_ms = stages.get("serialize").and_then(Value::as_f64).unwrap_or(0.0);
+    assert!(serialize_ms >= 0.05, "serialize stage {serialize_ms} ms misses the response encode");
 
-        handle.shutdown();
-    }
+    handle.shutdown();
     // Restore the default so other tests' rings don't churn.
     uadb_serve::metrics().set_slow_threshold_ms(100);
 }

@@ -242,10 +242,8 @@ fn mismatched_teacher_width_is_rejected_before_serving() {
 
     // …and the registry surfaces the mismatch as a typed error instead
     // of building a pool that would fail every teacher request.
-    let reg = ModelRegistry::new();
-    let err = reg
-        .insert_from_files("m", &booster_path, Some(&teacher_path), PoolConfig::default())
-        .unwrap_err();
+    let reg = ModelRegistry::new(PoolConfig::default());
+    let err = reg.insert_from_files("m", &booster_path, Some(&teacher_path)).unwrap_err();
     assert!(matches!(err, RegistryError::TeacherMismatch { expected: 3, got: 2 }), "got {err}");
     assert!(reg.is_empty());
 
@@ -275,10 +273,8 @@ fn unrelated_teacher_kind_is_rejected_even_with_matching_width() {
     .unwrap();
     persist::save_teacher_file(&iforest_teacher, &teacher_path).unwrap();
 
-    let reg = ModelRegistry::new();
-    let err = reg
-        .insert_from_files("m", &booster_path, Some(&teacher_path), PoolConfig::default())
-        .unwrap_err();
+    let reg = ModelRegistry::new(PoolConfig::default());
+    let err = reg.insert_from_files("m", &booster_path, Some(&teacher_path)).unwrap_err();
     assert!(
         matches!(
             &err,
@@ -306,8 +302,8 @@ fn reload_rereads_the_teacher_snapshot() {
     persist::save_file(&served, &booster_path).unwrap();
     persist::save_teacher_file(&teacher, &teacher_path).unwrap();
 
-    let reg = ModelRegistry::new();
-    reg.insert_from_files("m", &booster_path, Some(&teacher_path), PoolConfig::default()).unwrap();
+    let reg = ModelRegistry::new(PoolConfig::default());
+    reg.insert_from_files("m", &booster_path, Some(&teacher_path)).unwrap();
     assert_eq!(reg.teacher_source("m").as_deref(), Some(teacher_path.as_path()));
     let first_cal = reg.get("m").unwrap().model().teacher().unwrap().calibration();
 
@@ -349,8 +345,8 @@ fn runtime_attach_detach_swaps_pools_without_touching_inflight_ones() {
     let expected_booster = served.score_rows(&q).unwrap();
 
     // Registered booster-only: no teacher variant.
-    let reg = ModelRegistry::new();
-    reg.insert_from_file("m", &booster_path, PoolConfig { workers: 1, shard_rows: 64 }).unwrap();
+    let reg = ModelRegistry::new(PoolConfig { workers: 1, shard_rows: 64 });
+    reg.insert_from_file("m", &booster_path).unwrap();
     let before = reg.get("m").unwrap();
     assert!(before.model().teacher().is_none());
 
@@ -434,10 +430,8 @@ fn admin_teacher_attach_detach_over_http() {
     let q = queries(2);
     let expected_teacher = teacher.score_rows(&q).unwrap();
 
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .insert_from_file("m", &booster_path, PoolConfig { workers: 1, shard_rows: 64 })
-        .unwrap();
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 1, shard_rows: 64 }));
+    registry.insert_from_file("m", &booster_path).unwrap();
     let handle =
         uadb_serve::Server::bind("127.0.0.1:0", registry, uadb_serve::ServerConfig::default())
             .unwrap()

@@ -113,11 +113,11 @@ fn main() {
     persist::save_file(&hbos, &hbos_path).expect("save hbos");
 
     // 2. Register both (loaded back from disk — bit-identical by
-    //    construction) and serve them behind one port.
-    let registry = Arc::new(ModelRegistry::new());
-    let pool_cfg = PoolConfig { workers: 4, shard_rows: 64 };
-    registry.insert_from_file("iforest", &iforest_path, pool_cfg.clone()).expect("register");
-    registry.insert_from_file("hbos", &hbos_path, pool_cfg).expect("register");
+    //    construction) and serve them behind one port, both scoring on
+    //    the registry's one set of 4 workers.
+    let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 4, shard_rows: 64 }));
+    registry.insert_from_file("iforest", &iforest_path).expect("register");
+    registry.insert_from_file("hbos", &hbos_path).expect("register");
     let server =
         Server::bind("127.0.0.1:0", Arc::clone(&registry), ServerConfig::default()).expect("bind");
     let addr = server.local_addr().expect("addr");
