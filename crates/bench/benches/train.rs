@@ -1,14 +1,17 @@
-//! Training-loop benchmarks: the legacy `forward_cached` +
+//! Training benchmarks: the legacy `forward_cached` +
 //! `backward_and_step` loop against the zero-allocation `TrainScratch`
-//! engine, serial and data-parallel.
+//! engine, and one whole UADB fit at 1 and 2 training workers.
 //!
 //! `legacy_b256` reconstructs the pre-scratch training loop verbatim
 //! (per-chunk `select_rows`, per-batch grad matrix, cache cloning the
 //! batch) from the still-public `forward_cached`/`backward_and_step`
-//! API; the other cases run the shipping `train_regression` at 1/2/4
-//! workers. Before timing anything, `main` asserts all four paths land
-//! on bit-identical weights — the determinism contract the parallel
-//! decomposition guarantees for any `--train-workers` value.
+//! API; `scratch_b256` runs the shipping `train_regression` on the same
+//! epoch. `fit_w1`/`fit_w2` time `Uadb::fit_with` on a fixed suite
+//! dataset, whose fold members and probe train side by side at 2
+//! workers. Before timing anything, `main` asserts the scratch engine
+//! lands on the legacy loop's weights and the 2-worker fit on the
+//! 1-worker model bit for bit — the determinism contract behind every
+//! `--train-workers` value.
 //!
 //! Environment knobs:
 //! * `UADB_BENCH_SMOKE=1` — 3 samples per case (CI smoke mode);
@@ -18,6 +21,9 @@
 use criterion::{black_box, criterion_group, Criterion};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use uadb::{Uadb, UadbConfig, UadbModel};
+use uadb_data::suite::{generate_by_name, SuiteScale};
+use uadb_detectors::DetectorKind;
 use uadb_linalg::Matrix;
 use uadb_nn::{train_regression, Activation, Mlp, MlpConfig, TrainConfig};
 
@@ -92,22 +98,46 @@ fn weight_bits(mlp: &Mlp) -> Vec<u64> {
     bits
 }
 
-/// Refuses to time anything if the scratch/parallel paths do not land
-/// on exactly the legacy loop's weights (ragged 300/64 split included).
+/// Every bit a fit leaves behind: member weights, both histories and
+/// the calibration constants.
+fn model_bits(model: &UadbModel) -> Vec<u64> {
+    let mut bits: Vec<u64> = model.ensemble().iter().flat_map(weight_bits).collect();
+    for h in model.booster_history().iter().chain(model.pseudo_history()) {
+        bits.extend(h.iter().map(|v| v.to_bits()));
+    }
+    let cal = model.calibration();
+    bits.extend([cal.min.to_bits(), cal.range.to_bits()]);
+    bits
+}
+
+/// The whole-fit cases' input: `6_cardio` at quick scale, standardised,
+/// with its IForest teacher's scores, and a paper-default booster cut
+/// to 2 UADB steps so one sample stays well under a second.
+fn fit_inputs() -> (Uadb, Matrix, Vec<f64>) {
+    let d = generate_by_name("6_cardio", SuiteScale::Quick, 0)
+        .expect("6_cardio is a roster entry")
+        .standardized();
+    let teacher = DetectorKind::IForest.build(0).fit_score(&d.x).expect("teacher fits");
+    (Uadb::new(UadbConfig { t_steps: 2, ..UadbConfig::with_seed(0) }), d.x, teacher)
+}
+
+/// Refuses to time anything if the scratch engine does not land on
+/// exactly the legacy loop's weights (ragged 300/64 split included), or
+/// if a 2-worker fit differs from the 1-worker one in any bit.
 fn assert_bit_identity() {
     let x = filled_matrix(300, 32, 23);
     let t = targets_for(300);
     let cfg = TrainConfig { batch_size: 64, epochs: 2, shuffle_seed: 9, ..TrainConfig::default() };
     let mut reference = booster(3);
     legacy_train_regression(&mut reference, &x, &t, &cfg);
-    let want = weight_bits(&reference);
-    for workers in [1usize, 2, 4] {
-        let mut mlp = booster(3);
-        let cfg = TrainConfig { workers, ..cfg.clone() };
-        train_regression(&mut mlp, &x, &t, &cfg);
-        assert_eq!(weight_bits(&mlp), want, "workers={workers} diverged from the legacy loop");
-    }
-    println!("bit-identity: legacy == scratch == parallel(2) == parallel(4)");
+    let mut mlp = booster(3);
+    train_regression(&mut mlp, &x, &t, &cfg);
+    assert_eq!(weight_bits(&mlp), weight_bits(&reference), "scratch diverged from the legacy loop");
+
+    let (uadb, x, teacher) = fit_inputs();
+    let fit = |workers| model_bits(&uadb.fit_with(&x, &teacher, workers).expect("fit"));
+    assert!(fit(1) == fit(2), "the 2-worker fit diverged from the 1-worker fit");
+    println!("bit-identity: legacy == scratch; fit at 1 worker == fit at 2 workers");
 }
 
 fn bench(c: &mut Criterion) {
@@ -127,24 +157,23 @@ fn bench(c: &mut Criterion) {
     g.sample_size(sample_size);
 
     let mut legacy_mlp = booster(7);
-    let legacy_cfg = base.clone();
     g.bench_function("legacy_b256", |bch| {
         bch.iter(|| {
-            legacy_train_regression(&mut legacy_mlp, &x, &t, &legacy_cfg);
+            legacy_train_regression(&mut legacy_mlp, &x, &t, &base);
             black_box(legacy_mlp.layer(0).bias()[0])
         })
     });
 
-    for workers in [1usize, 2, 4] {
-        let mut mlp = booster(7);
-        let cfg = TrainConfig { workers, ..base.clone() };
-        let name = if workers == 1 {
-            "scratch_b256".to_string()
-        } else {
-            format!("parallel{workers}_b256")
-        };
-        g.bench_function(name, |bch| {
-            bch.iter(|| black_box(train_regression(&mut mlp, &x, &t, &cfg)))
+    let mut scratch_mlp = booster(7);
+    g.bench_function("scratch_b256", |bch| {
+        bch.iter(|| black_box(train_regression(&mut scratch_mlp, &x, &t, &base)))
+    });
+
+    // One whole fit per sample: 2 steps × (3 fold members + the probe).
+    let (uadb, fit_x, teacher) = fit_inputs();
+    for workers in [1usize, 2] {
+        g.bench_function(format!("fit_w{workers}"), |bch| {
+            bch.iter(|| black_box(uadb.fit_with(&fit_x, &teacher, workers).expect("fit")))
         });
     }
     g.finish();

@@ -58,7 +58,9 @@ pub struct UadbConfig {
     pub seed: u64,
     /// Optional per-epoch training observer, forwarded into every
     /// member/probe fit's [`TrainConfig`]. Observational only — weights
-    /// are bit-identical with or without it — and never persisted.
+    /// are bit-identical with or without it — and never persisted. With
+    /// more than one training worker ([`Uadb::fit_with`]) the nets call
+    /// it from several threads at once.
     pub progress: Option<ProgressHook>,
 }
 
@@ -263,13 +265,16 @@ impl Uadb {
         self.fit_with(x, teacher_scores, 1)
     }
 
-    /// [`Uadb::fit`] with `train_workers` data-parallel threads inside
-    /// each booster fit (`1` = serial, `0` = all available cores). The
-    /// trained model is bit-identical for every worker count — the
-    /// parallel decomposition in `uadb_nn` never reorders a
-    /// floating-point reduction — so this is purely a throughput knob
-    /// and deliberately not part of [`UadbConfig`] (which is persisted
-    /// with the model).
+    /// [`Uadb::fit`] with each step's fold members and probe trained
+    /// side by side on up to `train_workers` threads, the calling thread
+    /// included (`1` = one after another on the calling thread, `0` = all
+    /// available cores; never more threads than the step has nets,
+    /// `cv_folds + 1`). The nets share nothing while they train: each
+    /// runs the serial engine on its own fold, targets and shuffle seed,
+    /// and all of them are then scored on the calling thread in a fixed
+    /// order. The trained model is therefore bit-identical for every
+    /// worker count, so this is purely a throughput knob and deliberately
+    /// not part of [`UadbConfig`] (which is persisted with the model).
     pub fn fit_with(
         &self,
         x: &Matrix,
@@ -292,6 +297,7 @@ impl Uadb {
 
         // 3-fold CV ensemble: each booster trains on 2/3 of the rows.
         let folds = kfold(n, cfg.cv_folds.max(1), cfg.seed ^ 0x5eed_f01d);
+        let members = folds.len();
         let build_member = |f: usize, t: usize| {
             Mlp::new(&MlpConfig {
                 input_dim: x.cols(),
@@ -301,47 +307,38 @@ impl Uadb {
                 seed: cfg.seed.wrapping_add((f + t * 7) as u64).wrapping_mul(0x9e37_79b9),
             })
         };
-        let mut ensemble: Vec<Mlp> = (0..folds.len()).map(|f| build_member(f, 0)).collect();
+        let mut ensemble: Vec<Mlp> = (0..members).map(|f| build_member(f, 0)).collect();
         // Pre-select fold training matrices once; pseudo-label slices are
         // re-gathered per step since labels change.
         let fold_x: Vec<Matrix> = folds.iter().map(|f| x.select_rows(&f.train)).collect();
+        let train_cfg = |fold: usize, shuffle_seed: u64| TrainConfig {
+            adam: AdamParams { lr: cfg.learning_rate, ..AdamParams::default() },
+            batch_size: cfg.effective_batch(fold_x[fold].rows()),
+            epochs: cfg.epochs_per_step,
+            shuffle_seed,
+            progress: cfg.progress.clone(),
+        };
 
-        let mut fold_targets: Vec<f64> = Vec::with_capacity(n);
+        // Every step trains `members + 1` nets: the fold members, then
+        // the probe. Net `j` gathers its targets into `targets[j]` and
+        // its predictions land in `preds[j]`; both are reused per step.
+        let lanes = match train_workers {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            w => w,
+        }
+        .min(members + 1);
+        let mut targets: Vec<Vec<f64>> = vec![Vec::new(); members + 1];
+        let mut preds: Vec<Vec<f64>> = vec![Vec::new(); members + 1];
+        let mut forward = ForwardScratch::default();
         for t in 1..=cfg.t_steps {
-            // Train each fold booster against the current pseudo labels.
             // Without warm_start, members are re-initialised per step so
             // their outputs on structureless points fluctuate across
             // checkpoints (the §III-B variance signal).
-            for (f, mlp) in ensemble.iter_mut().enumerate() {
-                if !cfg.warm_start && t > 1 {
+            if !cfg.warm_start && t > 1 {
+                for (f, mlp) in ensemble.iter_mut().enumerate() {
                     *mlp = build_member(f, t);
                 }
-                fold_targets.clear();
-                fold_targets.extend(folds[f].train.iter().map(|&i| pseudo[i]));
-                let tc = TrainConfig {
-                    adam: AdamParams { lr: cfg.learning_rate, ..AdamParams::default() },
-                    batch_size: cfg.effective_batch(fold_x[f].rows()),
-                    epochs: cfg.epochs_per_step,
-                    shuffle_seed: cfg
-                        .seed
-                        .wrapping_add((t * 31 + f) as u64)
-                        .wrapping_mul(0x0100_0000_01b3),
-                    workers: train_workers,
-                    progress: cfg.progress.clone(),
-                };
-                train_regression(mlp, &fold_x[f], &fold_targets, &tc);
             }
-            // Per-member predictions. The reported scores average the
-            // members (§IV-A: "we average the outputs of the 3 booster
-            // models"); the variance sample gets each member's prediction
-            // individually, because the paper estimates variance "between
-            // different learners" (§III-B) and averaging members first
-            // would wash their disagreement out.
-            let mut member_preds: Vec<Vec<f64>> =
-                ensemble.iter().map(|mlp| mlp.predict_vec(x)).collect();
-            let fb = average_columns(&member_preds, n);
-            booster_history.push(fb.clone());
-
             // Fresh probe student: trained from scratch on the current
             // pseudo labels for one step's budget, used ONLY in the
             // variance sample, then discarded. A freshly-trained
@@ -349,30 +346,54 @@ impl Uadb {
             // every retrain (§III-B's "student model checkpoints at
             // different steps"), keeping the anomaly-variance signal
             // alive even after the warm ensemble has converged.
-            {
-                let mut probe = build_member(folds.len(), t);
-                let fold = t % folds.len();
-                fold_targets.clear();
-                fold_targets.extend(folds[fold].train.iter().map(|&i| pseudo[i]));
-                let tc = TrainConfig {
-                    adam: AdamParams { lr: cfg.learning_rate, ..AdamParams::default() },
-                    batch_size: cfg.effective_batch(fold_x[fold].rows()),
-                    epochs: cfg.epochs_per_step,
-                    shuffle_seed: cfg.seed.wrapping_add((t * 101) as u64),
-                    workers: train_workers,
-                    progress: cfg.progress.clone(),
-                };
-                train_regression(&mut probe, &fold_x[fold], &fold_targets, &tc);
-                member_preds.push(probe.predict_vec(x));
+            let mut probe = build_member(members, t);
+            let probe_fold = t % members;
+
+            // Train each fold booster (and the probe) against the
+            // current pseudo labels.
+            let nets = ensemble.iter_mut().chain(std::iter::once(&mut probe));
+            let jobs: Vec<NetJob<'_>> = nets
+                .zip(&mut targets)
+                .enumerate()
+                .map(|(j, (mlp, tgt))| {
+                    let (fold, shuffle_seed) = if j < members {
+                        let seed = cfg.seed.wrapping_add((t * 31 + j) as u64);
+                        (j, seed.wrapping_mul(0x0100_0000_01b3))
+                    } else {
+                        (probe_fold, cfg.seed.wrapping_add((t * 101) as u64))
+                    };
+                    tgt.clear();
+                    tgt.extend(folds[fold].train.iter().map(|&i| pseudo[i]));
+                    NetJob {
+                        mlp,
+                        x: &fold_x[fold],
+                        targets: tgt,
+                        cfg: train_cfg(fold, shuffle_seed),
+                    }
+                })
+                .collect();
+            train_side_by_side(jobs, lanes);
+
+            // Per-net predictions, on the calling thread. The reported
+            // scores average the members (§IV-A: "we average the outputs
+            // of the 3 booster models"); the variance sample gets each
+            // member's prediction individually, because the paper
+            // estimates variance "between different learners" (§III-B)
+            // and averaging members first would wash their disagreement
+            // out.
+            for (p, mlp) in preds.iter_mut().zip(ensemble.iter().chain(std::iter::once(&probe))) {
+                p.clear();
+                p.extend_from_slice(mlp.forward_scored(x, &mut forward));
             }
+            booster_history.push(average_columns(&preds[..members], n));
 
             // v̂ ← per-instance variance over [Ŷ, f_B(X)].
             let mut variance = vec![0.0; n];
-            let mut sample = Vec::with_capacity(pseudo_history.len() + member_preds.len());
+            let mut sample = Vec::with_capacity(pseudo_history.len() + preds.len());
             for (i, slot) in variance.iter_mut().enumerate() {
                 sample.clear();
                 sample.extend(pseudo_history.iter().map(|h| h[i]));
-                sample.extend(member_preds.iter().map(|p| p[i]));
+                sample.extend(preds.iter().map(|p| p[i]));
                 let v = uadb_linalg::vecops::population_variance(&sample);
                 *slot = match cfg.correction {
                     CorrectionScale::Variance => v,
@@ -404,6 +425,38 @@ impl Uadb {
             ScoreCalibration::fit(booster_history.last().map(|v| v.as_slice()).unwrap_or(&[]));
         Ok(UadbModel { ensemble, cfg: cfg.clone(), booster_history, pseudo_history, calibration })
     }
+}
+
+/// One net's training job within a UADB step.
+struct NetJob<'a> {
+    mlp: &'a mut Mlp,
+    x: &'a Matrix,
+    targets: &'a [f64],
+    cfg: TrainConfig,
+}
+
+/// Trains every job on `lanes >= 1` threads, the calling thread
+/// included: job `j` runs on lane `j % lanes`, so the assignment is
+/// fixed up front and no two lanes touch the same net or targets. Jobs
+/// on one lane run in order.
+fn train_side_by_side(jobs: Vec<NetJob<'_>>, lanes: usize) {
+    let mut queues: Vec<Vec<NetJob<'_>>> = (0..lanes).map(|_| Vec::new()).collect();
+    for (j, job) in jobs.into_iter().enumerate() {
+        queues[j % lanes].push(job);
+    }
+    let run = |queue: Vec<NetJob<'_>>| {
+        for job in queue {
+            train_regression(job.mlp, job.x, job.targets, &job.cfg);
+        }
+    };
+    std::thread::scope(|s| {
+        let mut queues = queues.into_iter();
+        let own = queues.next().unwrap_or_default();
+        for queue in queues {
+            s.spawn(move || run(queue));
+        }
+        run(own);
+    });
 }
 
 /// Element-wise mean of equally-long prediction vectors.
@@ -736,6 +789,83 @@ mod tests {
         assert!(restored.booster_history().is_empty());
         // On the training rows, score() equals the recorded final scores.
         assert_eq!(model.score(&d.x), model.scores());
+    }
+
+    /// Every bit a fit leaves behind: member weights, both histories and
+    /// the calibration constants.
+    fn fit_bits(model: &UadbModel) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for mlp in model.ensemble() {
+            for l in mlp.layers() {
+                bits.extend(l.weights().as_slice().iter().map(|v| v.to_bits()));
+                bits.extend(l.bias().iter().map(|v| v.to_bits()));
+            }
+        }
+        for h in model.booster_history().iter().chain(model.pseudo_history()) {
+            bits.extend(h.iter().map(|v| v.to_bits()));
+        }
+        let cal = model.calibration();
+        bits.extend([cal.min.to_bits(), cal.range.to_bits()]);
+        bits
+    }
+
+    #[test]
+    fn fit_is_bit_identical_for_every_worker_count() {
+        let d = fig5_dataset(AnomalyType::Local, 3).standardized();
+        let teacher = DetectorKind::Hbos.build(0).fit_score(&d.x).unwrap();
+        let configs = [
+            ("fast_for_tests", UadbConfig::fast_for_tests(5)),
+            ("cv_folds 1", UadbConfig { cv_folds: 1, ..UadbConfig::fast_for_tests(5) }),
+            ("cold start", UadbConfig { warm_start: false, ..UadbConfig::fast_for_tests(5) }),
+        ];
+        for (name, cfg) in configs {
+            let uadb = Uadb::new(cfg);
+            let want = fit_bits(&uadb.fit_with(&d.x, &teacher, 1).unwrap());
+            for workers in [2, 3, 0] {
+                let got = fit_bits(&uadb.fit_with(&d.x, &teacher, workers).unwrap());
+                assert!(got == want, "{name}: {workers} workers diverged from 1");
+            }
+        }
+    }
+
+    #[test]
+    fn nets_of_one_step_train_side_by_side() {
+        // The first two nets to finish an epoch 0 wait for each other
+        // inside the progress hook. Run side by side, each sees the
+        // other's token; run one after another, the first net's wait
+        // can only time out, because the second net starts after it.
+        use std::sync::{mpsc, Mutex};
+        let d = fig5_dataset(AnomalyType::Global, 1).standardized();
+        let teacher = DetectorKind::Hbos.build(0).fit_score(&d.x).unwrap();
+        let (first_tx, first_rx) = mpsc::channel::<()>();
+        let (second_tx, second_rx) = mpsc::channel::<()>();
+        // One end per arrival, each behind its own lock, so a waiting
+        // arrival never blocks the other.
+        let ends = [Mutex::new((first_tx, second_rx)), Mutex::new((second_tx, first_rx))];
+        let arrivals = Mutex::new(0usize);
+        let (met_tx, met_rx) = mpsc::channel::<bool>();
+        let hook = ProgressHook::new(move |epoch, _, _| {
+            if epoch != 0 {
+                return;
+            }
+            let arrival = {
+                let mut n = arrivals.lock().unwrap();
+                *n += 1;
+                *n - 1
+            };
+            let Some(end) = ends.get(arrival) else { return };
+            let (tx, rx) = &*end.lock().unwrap();
+            tx.send(()).unwrap();
+            let met = rx.recv_timeout(std::time::Duration::from_secs(30)).is_ok();
+            met_tx.send(met).unwrap();
+        });
+        let cfg = UadbConfig { t_steps: 1, progress: Some(hook), ..UadbConfig::fast_for_tests(2) };
+        let model = Uadb::new(cfg.clone()).fit_with(&d.x, &teacher, 2).unwrap();
+        let met: Vec<bool> = met_rx.try_iter().collect();
+        assert_eq!(met, [true, true], "the first two nets did not overlap");
+        // The hook only observes: the weights match a silent serial fit.
+        let serial = Uadb::new(UadbConfig { progress: None, ..cfg }).fit(&d.x, &teacher).unwrap();
+        assert!(fit_bits(&model) == fit_bits(&serial));
     }
 
     #[test]

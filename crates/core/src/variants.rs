@@ -156,7 +156,6 @@ fn train_static(
                 batch_size: cfg.effective_batch(fold_x[f].rows()),
                 epochs: cfg.epochs_per_step,
                 shuffle_seed: cfg.seed.wrapping_add((t * 31 + f) as u64),
-                workers: 1,
                 progress: cfg.progress.clone(),
             };
             train_regression(mlp, &fold_x[f], &targets, &tc);
@@ -180,7 +179,6 @@ fn train_self(x: &Matrix, teacher_scores: &[f64], cfg: &UadbConfig) -> Result<Ve
                 batch_size: cfg.effective_batch(fold_x[f].rows()),
                 epochs: cfg.epochs_per_step,
                 shuffle_seed: cfg.seed.wrapping_add((t * 37 + f) as u64),
-                workers: 1,
                 progress: cfg.progress.clone(),
             };
             train_regression(mlp, &fold_x[f], &targets, &tc);

@@ -202,9 +202,7 @@ impl Linear {
     /// Gradient w.r.t. the input over raw row-major slices:
     /// `grad_in = grad_out · Wᵀ`, written row by row. Bit-identical to
     /// the `grad_x` half of [`Linear::backward`] (same per-element
-    /// dot-product order), shareable across threads (`&self`), and
-    /// allocation-free — the row-split parallel backward runs this on
-    /// disjoint row ranges.
+    /// dot-product order) and allocation-free.
     ///
     /// # Panics
     /// If either slice length disagrees with `batch` and the layer
@@ -227,7 +225,7 @@ impl Linear {
 
     /// Mutable access to the accumulated gradient buffers
     /// `(grad_w, grad_b)` for the scratch training engine, which fills
-    /// them with kernels that partition `grad_w` by weight row.
+    /// them from its own batch buffers.
     pub(crate) fn grads_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.grad_w, &mut self.grad_b)
     }

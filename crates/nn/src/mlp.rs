@@ -323,7 +323,7 @@ pub(crate) fn relu_slice(vals: &mut [f64]) {
 }
 
 /// In-place numerically-stable sigmoid over an activation buffer.
-fn sigmoid_slice(vals: &mut [f64]) {
+pub(crate) fn sigmoid_slice(vals: &mut [f64]) {
     for v in vals {
         *v = sigmoid(*v);
     }

@@ -9,30 +9,19 @@
 //! parameter gradients and the packed rhs panels are likewise recycled
 //! inside [`crate::linear::Linear`]).
 //!
-//! # Parallel decomposition and bit-identity
+//! # Bit-identity
 //!
-//! [`train_batch_step`] optionally fans one batch out over scoped
-//! worker threads, and is **bit-identical to the serial path for every
-//! worker count** — not merely deterministic — because no partition
-//! boundary ever changes the order of a floating-point accumulation:
-//!
-//! * **Row phase** (forward pass, loss gradient, backward chain):
-//!   every output element depends on exactly one batch row, so rows
-//!   split into contiguous ranges with no cross-row arithmetic. The
-//!   blocked GEMM kernel's pinned shard-independence property
-//!   guarantees per-row bits do not depend on the range they ran in.
-//! * **Weight phase** (`grad_w = Xᵀ·G`): partitioned by *weight row*
-//!   (input-dimension index), not by batch row. Each `grad_w[i][o]`
-//!   element accumulates its per-batch-row contributions in ascending
-//!   row order inside a single task, exactly as the serial kernel
-//!   does, so there is no cross-partition floating-point reduction at
-//!   all — the classic source of worker-count-dependent results.
-//! * **Bias gradients, loss reporting and the Adam step** run serially
-//!   on the coordinating thread (they are `O(batch·width)` or
-//!   `O(params)`, negligible next to the GEMMs).
+//! [`train_batch_step`] runs one step serially on the calling thread
+//! and lands on exactly the weights of the historic
+//! `forward_cached` + `backward_and_step` loop: the row phase (forward,
+//! loss gradient, backward chain) makes the same GEMM and element-wise
+//! calls on the same rows, and the weight phase accumulates every
+//! gradient element over the batch rows in ascending order, as the
+//! historic kernel did. Parallelism lives one level up: the UADB fit
+//! trains independent networks side by side, each on its own scratch.
 
 use crate::adam::AdamParams;
-use crate::mlp::{relu_slice, Activation, Mlp};
+use crate::mlp::{relu_slice, sigmoid_slice, Activation, Mlp};
 use uadb_linalg::Matrix;
 
 /// Reusable training workspace: see the module docs. A scratch is not
@@ -136,282 +125,111 @@ enum BatchLoss<'a> {
     Svdd { center: &'a [f64] },
 }
 
-/// One worker's contiguous row range of every per-row buffer.
-struct RowPart<'a> {
-    /// Gathered input rows for this range (input to layer 0).
-    x0: &'a [f64],
-    /// `acts[j]` = this range's rows of the input to layer `j + 1`.
-    acts: Vec<&'a mut [f64]>,
-    /// This range's rows of the post-activation output.
-    output: &'a mut [f64],
-    /// `grads[i]` = this range's rows of layer `i`'s pre-activation
-    /// gradient.
-    grads: Vec<&'a mut [f64]>,
-    /// Rows in this range.
-    rows: usize,
-    /// First batch row of this range (loss-data indexing).
-    row0: usize,
-}
-
-/// Contiguous near-even `(start, len)` ranges covering `0..n`; empty
-/// ranges are dropped, so over-provisioned worker counts are harmless.
-fn partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        if len > 0 {
-            out.push((start, len));
-        }
-        start += len;
-    }
-    out
-}
-
-/// Splits the head `rows * width` elements off a remainder slice.
-fn carve<'a>(rem: &mut &'a mut [f64], rows: usize, width: usize) -> &'a mut [f64] {
-    let (head, tail) = std::mem::take(rem).split_at_mut(rows * width);
-    *rem = tail;
-    head
-}
-
-/// Carves one worker's [`RowPart`] off the per-buffer remainder slices.
-/// Callers must invoke this in ascending `row0` order; each call
-/// consumes exactly its range from every remainder.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site shape
-fn make_part<'a>(
-    row0: usize,
-    rows: usize,
-    x0_full: &'a [f64],
-    in_dim: usize,
-    out_dim: usize,
-    acts_rem: &mut [&'a mut [f64]],
-    acts_w: &[usize],
-    grads_rem: &mut [&'a mut [f64]],
-    grads_w: &[usize],
-    out_rem: &mut &'a mut [f64],
-) -> RowPart<'a> {
-    RowPart {
-        x0: &x0_full[row0 * in_dim..(row0 + rows) * in_dim],
-        acts: acts_rem.iter_mut().zip(acts_w).map(|(rem, &w)| carve(rem, rows, w)).collect(),
-        output: carve(out_rem, rows, out_dim),
-        grads: grads_rem.iter_mut().zip(grads_w).map(|(rem, &w)| carve(rem, rows, w)).collect(),
-        rows,
-        row0,
-    }
-}
-
 /// One optimiser step on a gathered batch: forward, loss gradient,
 /// backward, Adam on every layer. Returns the **summed** squared-error
 /// loss over the batch rows (callers divide by the epoch row count for
-/// the row-weighted mean). `workers <= 1` runs serially; larger values
-/// fan the row and weight phases out over scoped threads with
-/// bit-identical results (see the module docs).
+/// the row-weighted mean).
 ///
 /// The gradient semantics are bit-for-bit those of the historic
 /// `forward_cached` + `backward_and_step` path.
+// audit: no_alloc
 pub(crate) fn train_batch_step(
     mlp: &mut Mlp,
     scratch: &mut TrainScratch,
     batch: usize,
     objective: &Objective<'_>,
     hp: &AdamParams,
-    workers: usize,
 ) -> f64 {
-    let l = mlp.n_layers();
-    let last = l - 1;
-    let b = batch as f64;
     let TrainScratch { inputs, output, grads, targets } = scratch;
     let loss = match objective {
         Objective::Mse => BatchLoss::Mse { targets: &targets[..batch] },
         Objective::Svdd { center } => BatchLoss::Svdd { center },
     };
-    let in_dim = mlp.input_dim();
-    let out_dim = mlp.output_dim();
+    let output = &mut output[..batch * mlp.output_dim()];
+    row_phase(mlp, inputs, output, grads, batch, loss);
+    let total = loss_sum(output, loss);
 
-    // --- Row phase: forward + loss gradient + backward chain. ---
-    let (head, tail) = inputs.split_at_mut(1);
-    let x0_full: &[f64] = &head[0][..batch * in_dim];
-    let mut acts_rem: Vec<&mut [f64]> = tail
-        .iter_mut()
-        .zip(&mlp.layers()[..last])
-        .map(|(buf, layer)| &mut buf[..batch * layer.output_dim()] as &mut [f64])
-        .collect();
-    let mut grads_rem: Vec<&mut [f64]> = grads
-        .iter_mut()
-        .zip(mlp.layers())
-        .map(|(buf, layer)| &mut buf[..batch * layer.output_dim()] as &mut [f64])
-        .collect();
-    let mut out_rem: &mut [f64] = &mut output[..batch * out_dim];
-    let ranges = partition(batch, workers);
-    let acts_w: Vec<usize> = mlp.layers()[..last].iter().map(|l| l.output_dim()).collect();
-    let grads_w: Vec<usize> = mlp.layers().iter().map(|l| l.output_dim()).collect();
-    let mlp_ref: &Mlp = mlp;
-    if ranges.len() <= 1 {
-        for &(row0, rows) in &ranges {
-            let part = make_part(
-                row0,
-                rows,
-                x0_full,
-                in_dim,
-                out_dim,
-                &mut acts_rem,
-                &acts_w,
-                &mut grads_rem,
-                &grads_w,
-                &mut out_rem,
-            );
-            row_phase(mlp_ref, part, loss, b);
-        }
-    } else {
-        std::thread::scope(|s| {
-            for &(row0, rows) in &ranges {
-                let part = make_part(
-                    row0,
-                    rows,
-                    x0_full,
-                    in_dim,
-                    out_dim,
-                    &mut acts_rem,
-                    &acts_w,
-                    &mut grads_rem,
-                    &grads_w,
-                    &mut out_rem,
-                );
-                s.spawn(move || row_phase(mlp_ref, part, loss, b));
-            }
-        });
-    }
-
-    // --- Loss report: serial, row-major order (independent of the
-    // partition above). ---
-    let total = loss_sum(&output[..batch * out_dim], loss);
-
-    // --- Weight phase: bias gradients serially, weight gradients
-    // partitioned by weight row. ---
-    let mut tasks: Vec<Vec<GradWTask<'_>>> = Vec::new();
-    tasks.resize_with(workers.max(1), Vec::new);
+    // --- Weight phase and optimiser, in forward layer order (as the
+    // historic path), each Adam step recycling the layer's packed rhs
+    // panel. A layer's gradients read only the row phase's buffers, so
+    // updating it before the next layer's accumulation changes no bit. ---
     for (li, layer) in mlp.layers_mut().iter_mut().enumerate() {
         let (lin, lout) = (layer.input_dim(), layer.output_dim());
         let x = &inputs[li][..batch * lin];
         let g = &grads[li][..batch * lout];
         let (grad_w, grad_b) = layer.grads_mut();
         accumulate_grad_b(g, lout, grad_b);
-        let mut rem: &mut [f64] = grad_w;
-        for (widx, &(i0, wrows)) in partition(lin, workers).iter().enumerate() {
-            let part = carve(&mut rem, wrows, lout);
-            tasks[widx].push(GradWTask { x, grads: g, in_dim: lin, out_dim: lout, i0, part });
-        }
-    }
-    let parallel_weights = tasks.iter().filter(|t| !t.is_empty()).count() > 1;
-    if parallel_weights {
-        std::thread::scope(|s| {
-            for worker_tasks in tasks {
-                if worker_tasks.is_empty() {
-                    continue;
-                }
-                s.spawn(move || {
-                    for t in worker_tasks {
-                        accumulate_grad_w(t.x, t.in_dim, t.out_dim, t.grads, t.i0, t.part);
-                    }
-                });
-            }
-        });
-    } else {
-        for t in tasks.into_iter().flatten() {
-            accumulate_grad_w(t.x, t.in_dim, t.out_dim, t.grads, t.i0, t.part);
-        }
-    }
-
-    // --- Optimiser: serial, forward layer order (as the historic
-    // path), each step recycling the layer's packed rhs panel. ---
-    for layer in mlp.layers_mut() {
+        accumulate_grad_w(x, lin, lout, g, grad_w);
         layer.apply_adam(hp);
     }
     total
 }
 
-/// One weight-row range of one layer's `grad_w` accumulation.
-struct GradWTask<'a> {
-    x: &'a [f64],
-    grads: &'a [f64],
-    in_dim: usize,
-    out_dim: usize,
-    i0: usize,
-    part: &'a mut [f64],
-}
-
-/// Forward pass, loss gradient and backward chain for one contiguous
-/// row range. Everything here is row-local: no element outside
-/// `part`'s rows is read or written, so concurrent parts never
-/// interact.
+/// Forward pass, loss gradient and backward chain over the batch's
+/// `rows` rows: `inputs[i]` receives layer `i`'s input, `output` the
+/// post-activation head, `grads[i]` layer `i`'s pre-activation
+/// gradient.
 // audit: no_alloc
-fn row_phase(mlp: &Mlp, mut part: RowPart<'_>, loss: BatchLoss<'_>, b: f64) {
-    let l = mlp.n_layers();
-    let last = l - 1;
-    let rows = part.rows;
+fn row_phase(
+    mlp: &Mlp,
+    inputs: &mut [Vec<f64>],
+    output: &mut [f64],
+    grads: &mut [Vec<f64>],
+    rows: usize,
+    loss: BatchLoss<'_>,
+) {
+    let last = mlp.n_layers() - 1;
+    let b = rows as f64;
     // Forward: layer i reads its input rows and writes its output rows
     // (ReLU applied in place on hidden activations, exactly as the
     // cached path does).
     for (i, layer) in mlp.layers().iter().enumerate() {
-        if i == 0 && l == 1 {
-            layer.forward_into(part.x0, rows, &mut *part.output);
-        } else if i == 0 {
-            let (dst, _) = part.acts.split_at_mut(1);
-            layer.forward_into(part.x0, rows, &mut *dst[0]);
-            relu_slice(&mut *dst[0]);
-        } else if i < last {
-            let (src, dst) = part.acts.split_at_mut(i);
-            layer.forward_into(&*src[i - 1], rows, &mut *dst[0]);
-            relu_slice(&mut *dst[0]);
+        let (src, dst) = inputs.split_at_mut(i + 1);
+        let x = &src[i][..rows * layer.input_dim()];
+        if i < last {
+            let y = &mut dst[0][..rows * layer.output_dim()];
+            layer.forward_into(x, rows, y);
+            relu_slice(y);
         } else {
-            let (src, _) = part.acts.split_at_mut(i);
-            layer.forward_into(&*src[i - 1], rows, &mut *part.output);
+            layer.forward_into(x, rows, output);
         }
     }
     if mlp.activation() == Activation::Sigmoid {
-        sigmoid_rows(&mut *part.output);
+        sigmoid_slice(output);
     }
     // Loss gradient w.r.t. the post-activation output, then the output
     // activation's derivative — the same element-wise sequence as the
     // historic path (`g = 2·diff/b`, then `g *= s·(1-s)` for sigmoid).
-    {
-        let g_last = &mut *part.grads[last];
-        match loss {
-            BatchLoss::Mse { targets } => {
-                let t = &targets[part.row0..part.row0 + rows];
-                for ((g, &o), &tv) in g_last.iter_mut().zip(&*part.output).zip(t) {
-                    *g = 2.0 * (o - tv) / b;
-                }
+    let g_last = &mut grads[last][..output.len()];
+    match loss {
+        BatchLoss::Mse { targets } => {
+            for ((g, &o), &tv) in g_last.iter_mut().zip(&*output).zip(targets) {
+                *g = 2.0 * (o - tv) / b;
             }
-            BatchLoss::Svdd { center } => {
-                let width = center.len().max(1);
-                for (grow, orow) in
-                    g_last.chunks_exact_mut(width).zip(part.output.chunks_exact(width))
-                {
-                    for ((g, &o), &c) in grow.iter_mut().zip(orow).zip(center) {
-                        *g = 2.0 * (o - c) / b;
-                    }
+        }
+        BatchLoss::Svdd { center } => {
+            let width = center.len().max(1);
+            for (grow, orow) in g_last.chunks_exact_mut(width).zip(output.chunks_exact(width)) {
+                for ((g, &o), &c) in grow.iter_mut().zip(orow).zip(center) {
+                    *g = 2.0 * (o - c) / b;
                 }
             }
         }
-        if mlp.activation() == Activation::Sigmoid {
-            for (g, &s) in g_last.iter_mut().zip(&*part.output) {
-                *g *= s * (1.0 - s);
-            }
+    }
+    if mlp.activation() == Activation::Sigmoid {
+        for (g, &s) in g_last.iter_mut().zip(&*output) {
+            *g *= s * (1.0 - s);
         }
     }
     // Backward chain: grads[i-1] = relu-gate(grads[i] · Wᵢᵀ), gated on
     // layer i's stored input rows — the gate the historic path applies
     // before each layer's backward call.
-    for i in (1..l).rev() {
-        let (g_lo, g_hi) = part.grads.split_at_mut(i);
+    for i in (1..=last).rev() {
         let layer = mlp.layer(i);
-        layer.backward_input_into(&*g_hi[0], rows, &mut *g_lo[i - 1]);
-        for (g, &a) in g_lo[i - 1].iter_mut().zip(&*part.acts[i - 1]) {
+        let (g_lo, g_hi) = grads.split_at_mut(i);
+        let g_in = &mut g_lo[i - 1][..rows * layer.input_dim()];
+        layer.backward_input_into(&g_hi[0][..rows * layer.output_dim()], rows, g_in);
+        for (g, &a) in g_in.iter_mut().zip(&inputs[i]) {
             if a <= 0.0 {
                 *g = 0.0;
             }
@@ -419,30 +237,20 @@ fn row_phase(mlp: &Mlp, mut part: RowPart<'_>, loss: BatchLoss<'_>, b: f64) {
     }
 }
 
-/// `grad_w[i0 + ii] += Σ_r x[r][i0 + ii]·g[r]` for the weight rows
-/// covered by `part`. Batch rows run in the outer loop (streaming `x`
-/// and `grads` once while `part` stays cache-hot — the historic serial
-/// kernel's layout), so each `grad_w` element accumulates its
-/// per-batch-row contributions in ascending row order and the
-/// weight-row partition never changes a single bit. The `xi == 0.0`
-/// skip mirrors the serial kernel (the zeroed entries it leaves behind
-/// are written by the explicit clear up front).
+/// `grad_w[i] = Σ_r x[r][i]·g[r]`. Batch rows run in the outer loop
+/// (streaming `x` and `grads` once while `grad_w` stays cache-hot — the
+/// historic serial kernel's layout), so each `grad_w` element
+/// accumulates its per-batch-row contributions in ascending row order.
+/// The `xi == 0.0` skip mirrors the historic kernel (the zeroed entries
+/// it leaves behind are written by the explicit clear up front).
 // audit: no_alloc
-fn accumulate_grad_w(
-    x: &[f64],
-    in_dim: usize,
-    out_dim: usize,
-    grads: &[f64],
-    i0: usize,
-    part: &mut [f64],
-) {
+fn accumulate_grad_w(x: &[f64], in_dim: usize, out_dim: usize, grads: &[f64], grad_w: &mut [f64]) {
     let lout = out_dim.max(1);
-    for d in part.iter_mut() {
+    for d in grad_w.iter_mut() {
         *d = 0.0;
     }
-    let wrows = part.len() / lout;
     for (xrow, gr) in x.chunks_exact(in_dim.max(1)).zip(grads.chunks_exact(lout)) {
-        for (dst, &xi) in part.chunks_exact_mut(lout).zip(&xrow[i0..i0 + wrows]) {
+        for (dst, &xi) in grad_w.chunks_exact_mut(lout).zip(xrow) {
             if xi == 0.0 {
                 continue;
             }
@@ -467,8 +275,7 @@ fn accumulate_grad_b(grads: &[f64], out_dim: usize, grad_b: &mut [f64]) {
 }
 
 /// Summed squared-error loss over the batch, accumulated in row-major
-/// order on the coordinating thread (so the report is also independent
-/// of the worker count).
+/// order.
 // audit: no_alloc
 fn loss_sum(output: &[f64], loss: BatchLoss<'_>) -> f64 {
     match loss {
@@ -490,13 +297,5 @@ fn loss_sum(output: &[f64], loss: BatchLoss<'_>) -> f64 {
             }
             total
         }
-    }
-}
-
-/// In-place numerically-stable sigmoid over a row range.
-// audit: no_alloc
-fn sigmoid_rows(vals: &mut [f64]) {
-    for v in vals {
-        *v = crate::mlp::sigmoid(*v);
     }
 }

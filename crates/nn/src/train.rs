@@ -3,10 +3,10 @@
 //!
 //! Both loops run on the zero-allocation [`TrainScratch`] engine
 //! (`crate::scratch`): batch rows are gathered once into a reusable
-//! buffer (no per-chunk `select_rows` allocation), activations and
-//! gradients live in persistent buffers, and `workers > 1` splits the
-//! row-local phases across scoped threads with a fixed-order reduction
-//! that keeps trained weights bit-identical for any worker count.
+//! buffer (no per-chunk `select_rows` allocation), and activations and
+//! gradients live in persistent buffers. A call trains one network on
+//! the calling thread; callers that fit several independent networks
+//! (the UADB booster's fold members and probe) run calls side by side.
 
 use crate::adam::AdamParams;
 use crate::mlp::Mlp;
@@ -53,11 +53,6 @@ pub struct TrainConfig {
     /// Shuffle seed (re-seeded per call so repeated calls differ only via
     /// this value).
     pub shuffle_seed: u64,
-    /// Data-parallel training workers. `1` (the default) trains on the
-    /// calling thread; `0` means all available cores. Trained weights are
-    /// bit-identical for every value — the parallel decomposition never
-    /// reorders a floating-point reduction (see `crate::scratch`).
-    pub workers: usize,
     /// Optional per-epoch observer (`None` trains silently).
     pub progress: Option<ProgressHook>,
 }
@@ -69,18 +64,8 @@ impl Default for TrainConfig {
             batch_size: 256,
             epochs: 10,
             shuffle_seed: 0,
-            workers: 1,
             progress: None,
         }
-    }
-}
-
-/// Resolves the configured worker count (`0` = all available cores).
-fn resolve_workers(cfg: &TrainConfig) -> usize {
-    if cfg.workers == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        cfg.workers
     }
 }
 
@@ -128,7 +113,6 @@ fn train_loop(
         return 0.0;
     }
     let batch = cfg.batch_size.max(1);
-    let workers = resolve_workers(cfg);
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.shuffle_seed);
     let mut scratch = TrainScratch::default();
@@ -150,8 +134,7 @@ fn train_loop(
                 (None, Some(c)) => Objective::Svdd { center: c },
                 _ => unreachable!("exactly one objective"),
             };
-            epoch_sum +=
-                train_batch_step(mlp, &mut scratch, chunk.len(), &objective, &cfg.adam, workers);
+            epoch_sum += train_batch_step(mlp, &mut scratch, chunk.len(), &objective, &cfg.adam);
         }
         last_epoch_loss = epoch_sum / n as f64;
         if let Some(hook) = &cfg.progress {
@@ -191,7 +174,6 @@ mod tests {
             batch_size: 8,
             adam: AdamParams { lr: 0.01, ..AdamParams::default() },
             shuffle_seed: 1,
-            workers: 1,
             progress: None,
         };
         let loss = train_regression(&mut mlp, &x, &t, &cfg);
@@ -236,7 +218,6 @@ mod tests {
             batch_size: 12,
             adam: AdamParams { lr: 0.01, ..AdamParams::default() },
             shuffle_seed: 0,
-            workers: 1,
             progress: None,
         };
         let final_dist = train_svdd(&mut mlp, &x, &center, &cfg);
@@ -370,7 +351,6 @@ mod tests {
             batch_size: 4,
             adam: AdamParams { lr: 0.0, ..AdamParams::default() },
             shuffle_seed: 7,
-            workers: 1,
             progress: None,
         };
         let got = train_regression(&mut mlp, &x, &t, &cfg);
@@ -404,7 +384,6 @@ mod tests {
             batch_size: 3,
             adam: AdamParams { lr: 0.0, ..AdamParams::default() },
             shuffle_seed: 2,
-            workers: 1,
             progress: None,
         };
         let got = train_svdd(&mut mlp, &x, &center, &cfg);

@@ -125,12 +125,12 @@ proptest! {
         prop_assert!(pred.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)));
     }
 
-    /// The tentpole determinism contract: the scratch engine, serial or
-    /// parallel at any worker count, lands on *bit-identical* weights to
-    /// the legacy `forward_cached`/`backward_and_step` loop — including
-    /// ragged final batches.
+    /// The determinism contract: the scratch engine lands on
+    /// *bit-identical* weights to the legacy
+    /// `forward_cached`/`backward_and_step` loop — including ragged
+    /// final batches.
     #[test]
-    fn scratch_training_bit_matches_legacy_any_workers(
+    fn scratch_training_bit_matches_legacy(
         seed in 0u64..64,
         n in 5usize..21,
         batch in 1usize..9,
@@ -154,27 +154,19 @@ proptest! {
             batch_size: batch,
             epochs: 3,
             shuffle_seed: seed ^ 0xabcd,
-            workers: 1,
             progress: None,
         };
         let mut reference = build();
         legacy_train_regression(&mut reference, &x, &targets, &cfg);
-        let want = weight_bits(&reference);
-        for workers in [1usize, 2, 4] {
-            let mut mlp = build();
-            let cfg = TrainConfig { workers, ..cfg.clone() };
-            train_regression(&mut mlp, &x, &targets, &cfg);
-            prop_assert_eq!(
-                &weight_bits(&mlp), &want,
-                "workers={} diverged from legacy loop", workers
-            );
-        }
+        let mut mlp = build();
+        train_regression(&mut mlp, &x, &targets, &cfg);
+        prop_assert_eq!(weight_bits(&mlp), weight_bits(&reference), "diverged from legacy loop");
     }
 
     /// Same contract for the SVDD objective (multi-column output
     /// exercises the grad-row layout and the identity head).
     #[test]
-    fn svdd_scratch_training_bit_matches_legacy_any_workers(
+    fn svdd_scratch_training_bit_matches_legacy(
         seed in 0u64..48,
         n in 4usize..17,
         batch in 1usize..7,
@@ -198,20 +190,12 @@ proptest! {
             batch_size: batch,
             epochs: 2,
             shuffle_seed: seed.wrapping_mul(31),
-            workers: 1,
             progress: None,
         };
         let mut reference = build();
         legacy_train_svdd(&mut reference, &x, &center, &cfg);
-        let want = weight_bits(&reference);
-        for workers in [1usize, 2, 4] {
-            let mut mlp = build();
-            let cfg = TrainConfig { workers, ..cfg.clone() };
-            train_svdd(&mut mlp, &x, &center, &cfg);
-            prop_assert_eq!(
-                &weight_bits(&mlp), &want,
-                "workers={} diverged from legacy loop", workers
-            );
-        }
+        let mut mlp = build();
+        train_svdd(&mut mlp, &x, &center, &cfg);
+        prop_assert_eq!(weight_bits(&mlp), weight_bits(&reference), "diverged from legacy loop");
     }
 }

@@ -49,9 +49,10 @@ SUBCOMMANDS:
           a synthetic anomaly type (--synthetic
           local|global|clustered|dependency), or a numeric CSV (--csv
           data.csv, --label-last if the last column is a 0/1 label used only
-          for the AUC report). --train-workers N splits each booster fit
-          across N threads (default 1; 0 = all cores) with bit-identical
-          trained weights for every value.
+          for the AUC report). --train-workers N trains each UADB step's
+          fold members and probe side by side on up to N threads (default
+          1; 0 = all cores; at most cv_folds + 1 = 4 are used) with
+          bit-identical trained weights for every value.
   score   Load a model file and score rows from a CSV file or an inline
           JSON array of rows; writes `row,score` CSV to stdout or --out.
   serve   Serve one or more model files over keep-alive HTTP/1.1 (Linux

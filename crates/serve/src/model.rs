@@ -364,10 +364,12 @@ impl ServedModel {
         Self::train_with_teacher_workers(data, teacher, cfg, 1)
     }
 
-    /// [`ServedModel::train_with_teacher`] with `train_workers`
-    /// data-parallel threads inside each booster fit (`1` = serial,
-    /// `0` = all available cores). The trained model is bit-identical
-    /// for every worker count, so the flag never needs persisting.
+    /// [`ServedModel::train_with_teacher`] with each UADB step's fold
+    /// members and probe trained side by side on up to `train_workers`
+    /// threads (`1` = one after another, `0` = all available cores; see
+    /// [`Uadb::fit_with`]). The trained model is bit-identical for every
+    /// worker count, so the flag never needs persisting. The progress
+    /// hook may then run on several threads at once.
     pub fn train_with_teacher_workers(
         data: &Dataset,
         teacher: DetectorKind,
