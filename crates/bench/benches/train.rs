@@ -6,12 +6,15 @@
 //! (per-chunk `select_rows`, per-batch grad matrix, cache cloning the
 //! batch) from the still-public `forward_cached`/`backward_and_step`
 //! API; `scratch_b256` runs the shipping `train_regression` on the same
-//! epoch. `fit_w1`/`fit_w2` time `Uadb::fit_with` on a fixed suite
+//! epoch. `legacy_b31`/`scratch_b31` are the same pair at the shape one
+//! fold member trains on in `fit_cardio` (504 × 18 rows, batch 31, the
+//! fold's `effective_batch`), where the backward products dominate.
+//! `fit_w1`/`fit_w2` time `Uadb::fit_with` on a fixed suite
 //! dataset, whose fold members and probe train side by side at 2
 //! workers. Before timing anything, `main` asserts the scratch engine
-//! lands on the legacy loop's weights and the 2-worker fit on the
-//! 1-worker model bit for bit — the determinism contract behind every
-//! `--train-workers` value.
+//! lands on the legacy loop's weights at both pair shapes and the
+//! 2-worker fit on the 1-worker model bit for bit — the determinism
+//! contract behind every `--train-workers` value.
 //!
 //! Environment knobs:
 //! * `UADB_BENCH_SMOKE=1` — 3 samples per case (CI smoke mode);
@@ -49,10 +52,10 @@ fn samples() -> usize {
     }
 }
 
-/// The §IV-A booster shape at a 32-feature dataset.
-fn booster(seed: u64) -> Mlp {
+/// The §IV-A booster shape at an `input_dim`-feature dataset.
+fn booster(input_dim: usize, seed: u64) -> Mlp {
     Mlp::new(&MlpConfig {
-        input_dim: 32,
+        input_dim,
         hidden: vec![128, 128],
         output_dim: 1,
         activation: Activation::Sigmoid,
@@ -122,17 +125,24 @@ fn fit_inputs() -> (Uadb, Matrix, Vec<f64>) {
 }
 
 /// Refuses to time anything if the scratch engine does not land on
-/// exactly the legacy loop's weights (ragged 300/64 split included), or
-/// if a 2-worker fit differs from the 1-worker one in any bit.
+/// exactly the legacy loop's weights (ragged 300/64 and 504/31 splits
+/// included), or if a 2-worker fit differs from the 1-worker one in
+/// any bit.
 fn assert_bit_identity() {
-    let x = filled_matrix(300, 32, 23);
-    let t = targets_for(300);
-    let cfg = TrainConfig { batch_size: 64, epochs: 2, shuffle_seed: 9, ..TrainConfig::default() };
-    let mut reference = booster(3);
-    legacy_train_regression(&mut reference, &x, &t, &cfg);
-    let mut mlp = booster(3);
-    train_regression(&mut mlp, &x, &t, &cfg);
-    assert_eq!(weight_bits(&mlp), weight_bits(&reference), "scratch diverged from the legacy loop");
+    for (rows, features, batch) in [(300, 32, 64), (504, 18, 31)] {
+        let x = filled_matrix(rows, features, 23);
+        let t = targets_for(rows);
+        let cfg =
+            TrainConfig { batch_size: batch, epochs: 2, shuffle_seed: 9, ..TrainConfig::default() };
+        let mut reference = booster(features, 3);
+        legacy_train_regression(&mut reference, &x, &t, &cfg);
+        let mut mlp = booster(features, 3);
+        train_regression(&mut mlp, &x, &t, &cfg);
+        assert!(
+            weight_bits(&mlp) == weight_bits(&reference),
+            "scratch diverged from the legacy loop at {rows}x{features}, batch {batch}"
+        );
+    }
 
     let (uadb, x, teacher) = fit_inputs();
     let fit = |workers| model_bits(&uadb.fit_with(&x, &teacher, workers).expect("fit"));
@@ -156,7 +166,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("train");
     g.sample_size(sample_size);
 
-    let mut legacy_mlp = booster(7);
+    let mut legacy_mlp = booster(32, 7);
     g.bench_function("legacy_b256", |bch| {
         bch.iter(|| {
             legacy_train_regression(&mut legacy_mlp, &x, &t, &base);
@@ -164,9 +174,29 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let mut scratch_mlp = booster(7);
+    let mut scratch_mlp = booster(32, 7);
     g.bench_function("scratch_b256", |bch| {
         bch.iter(|| black_box(train_regression(&mut scratch_mlp, &x, &t, &base)))
+    });
+
+    // One epoch of a `fit_cardio` fold member: 504 of 756 rows × 18
+    // features at the fold's effective batch of 31.
+    let (n31, d31) = (504usize, 18usize);
+    let x31 = filled_matrix(n31, d31, 43);
+    let t31 = targets_for(n31);
+    let b31 = TrainConfig { batch_size: 31, epochs: 1, shuffle_seed: 19, ..TrainConfig::default() };
+
+    let mut legacy_mlp31 = booster(d31, 7);
+    g.bench_function("legacy_b31", |bch| {
+        bch.iter(|| {
+            legacy_train_regression(&mut legacy_mlp31, &x31, &t31, &b31);
+            black_box(legacy_mlp31.layer(0).bias()[0])
+        })
+    });
+
+    let mut scratch_mlp31 = booster(d31, 7);
+    g.bench_function("scratch_b31", |bch| {
+        bch.iter(|| black_box(train_regression(&mut scratch_mlp31, &x31, &t31, &b31)))
     });
 
     // One whole fit per sample: 2 steps × (3 fold members + the probe).

@@ -130,6 +130,14 @@ pub enum UadbError {
     },
     /// No training rows.
     EmptyInput,
+    /// A feature or teacher score is NaN or infinite. Training on it
+    /// would turn every net's weights NaN.
+    NonFinite {
+        /// The first row holding one.
+        row: usize,
+        /// `"feature"` or `"teacher score"`.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for UadbError {
@@ -139,11 +147,41 @@ impl fmt::Display for UadbError {
                 write!(f, "feature rows ({rows}) != teacher scores ({scores})")
             }
             UadbError::EmptyInput => write!(f, "cannot boost an empty dataset"),
+            UadbError::NonFinite { row, what } => {
+                write!(f, "row {row} has a non-finite {what} (NaN or infinite)")
+            }
         }
     }
 }
 
 impl std::error::Error for UadbError {}
+
+/// Rejects a NaN or infinite feature, naming the first row holding one.
+/// Callers that standardise first run it on the raw rows, where the row
+/// is still the one the user wrote (a NaN poisons its column's mean).
+pub fn check_features(x: &Matrix) -> Result<(), UadbError> {
+    match x.row_iter().position(|row| !row.iter().all(|v| v.is_finite())) {
+        Some(row) => Err(UadbError::NonFinite { row, what: "feature" }),
+        None => Ok(()),
+    }
+}
+
+/// What every booster fit needs of its inputs: a row and a feature at
+/// least, one teacher score per row, and only finite features and
+/// scores.
+pub(crate) fn check_inputs(x: &Matrix, teacher_scores: &[f64]) -> Result<(), UadbError> {
+    if x.rows() == 0 || x.cols() == 0 {
+        return Err(UadbError::EmptyInput);
+    }
+    if teacher_scores.len() != x.rows() {
+        return Err(UadbError::LengthMismatch { rows: x.rows(), scores: teacher_scores.len() });
+    }
+    check_features(x)?;
+    match teacher_scores.iter().position(|s| !s.is_finite()) {
+        Some(row) => Err(UadbError::NonFinite { row, what: "teacher score" }),
+        None => Ok(()),
+    }
+}
 
 /// Affine score calibration fitted on the training set's final booster
 /// scores and stored with the model.
@@ -281,13 +319,8 @@ impl Uadb {
         teacher_scores: &[f64],
         train_workers: usize,
     ) -> Result<UadbModel, UadbError> {
+        check_inputs(x, teacher_scores)?;
         let n = x.rows();
-        if n == 0 || x.cols() == 0 {
-            return Err(UadbError::EmptyInput);
-        }
-        if teacher_scores.len() != n {
-            return Err(UadbError::LengthMismatch { rows: n, scores: teacher_scores.len() });
-        }
         let cfg = &self.cfg;
 
         // ŷ(1) ← MinMax(f_S(X)); Ŷ ← [ŷ(1)]
@@ -716,6 +749,27 @@ mod tests {
         let err = Uadb::new(cfg).fit(&x, &[0.5]).err().unwrap();
         assert!(matches!(err, UadbError::LengthMismatch { rows: 3, scores: 1 }));
         assert!(err.to_string().contains('3'));
+    }
+
+    /// A NaN teacher score, an infinite one and a NaN feature each used
+    /// to train step 1's nets to NaN and then panic in step 2's variance
+    /// update; each is now refused up front, naming its row.
+    #[test]
+    fn non_finite_inputs_are_rejected() {
+        let d = fig5_dataset(AnomalyType::Global, 1).standardized();
+        let teacher = DetectorKind::Hbos.build(0).fit_score(&d.x).unwrap();
+        let uadb = Uadb::new(UadbConfig { t_steps: 2, ..UadbConfig::fast_for_tests(0) });
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut scores = teacher.clone();
+            scores[5] = bad;
+            let err = uadb.fit(&d.x, &scores).err().unwrap();
+            assert_eq!(err, UadbError::NonFinite { row: 5, what: "teacher score" }, "{bad}");
+            assert!(err.to_string().contains("row 5"), "{err}");
+        }
+        let mut x = d.x.clone();
+        x.set(7, 1, f64::NAN);
+        let err = uadb.fit(&x, &teacher).err().unwrap();
+        assert_eq!(err, UadbError::NonFinite { row: 7, what: "feature" });
     }
 
     #[test]

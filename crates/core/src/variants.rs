@@ -12,7 +12,7 @@
 //! budget so the comparison isolates the label-update and inference
 //! rules.
 
-use crate::booster::{Uadb, UadbConfig, UadbError};
+use crate::booster::{check_inputs, Uadb, UadbConfig, UadbError};
 use uadb_data::preprocess::minmax_vec;
 use uadb_data::splits::kfold;
 use uadb_linalg::Matrix;
@@ -145,7 +145,7 @@ fn train_static(
     teacher_scores: &[f64],
     cfg: &UadbConfig,
 ) -> Result<Vec<f64>, UadbError> {
-    validate(x, teacher_scores)?;
+    check_inputs(x, teacher_scores)?;
     let pseudo = minmax_vec(teacher_scores);
     let (mut ensemble, train_idx, fold_x) = build_ensemble(x, cfg);
     for t in 1..=cfg.t_steps {
@@ -167,7 +167,7 @@ fn train_static(
 /// Self-Booster training: iterative, but the next pseudo labels are the
 /// booster's own normalised output (no variance term).
 fn train_self(x: &Matrix, teacher_scores: &[f64], cfg: &UadbConfig) -> Result<Vec<f64>, UadbError> {
-    validate(x, teacher_scores)?;
+    check_inputs(x, teacher_scores)?;
     let mut pseudo = minmax_vec(teacher_scores);
     let (mut ensemble, train_idx, fold_x) = build_ensemble(x, cfg);
     let mut fb = vec![0.0; x.rows()];
@@ -187,16 +187,6 @@ fn train_self(x: &Matrix, teacher_scores: &[f64], cfg: &UadbConfig) -> Result<Ve
         pseudo = minmax_vec(&fb);
     }
     Ok(fb)
-}
-
-fn validate(x: &Matrix, teacher_scores: &[f64]) -> Result<(), UadbError> {
-    if x.rows() == 0 || x.cols() == 0 {
-        return Err(UadbError::EmptyInput);
-    }
-    if teacher_scores.len() != x.rows() {
-        return Err(UadbError::LengthMismatch { rows: x.rows(), scores: teacher_scores.len() });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

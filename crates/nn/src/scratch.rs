@@ -4,8 +4,9 @@
 //! [`TrainScratch`] owns every buffer one optimiser step needs — the
 //! batch-gather buffer (replacing per-chunk `select_rows`), the
 //! retained per-layer activation inputs backprop reads, the per-layer
-//! gradient matrices, and the gathered target column — all grow-once,
-//! so a training loop allocates nothing at steady state (the layer
+//! gradient matrices, the gathered target column, and the transposed
+//! operands of the two backward products — all grow-once, so a
+//! training loop allocates nothing at steady state (the layer
 //! parameter gradients and the packed rhs panels are likewise recycled
 //! inside [`crate::linear::Linear`]).
 //!
@@ -13,15 +14,51 @@
 //!
 //! [`train_batch_step`] runs one step serially on the calling thread
 //! and lands on exactly the weights of the historic
-//! `forward_cached` + `backward_and_step` loop: the row phase (forward,
-//! loss gradient, backward chain) makes the same GEMM and element-wise
-//! calls on the same rows, and the weight phase accumulates every
-//! gradient element over the batch rows in ascending order, as the
-//! historic kernel did. Parallelism lives one level up: the UADB fit
-//! trains independent networks side by side, each on its own scratch.
+//! `forward_cached` + `backward_and_step` loop. The forward pass makes
+//! the same GEMM calls on the same rows. Both backward products run on
+//! the dispatched [`gemm_into`] strips, each over one transposed
+//! operand and with the rhs's true row finiteness:
+//!
+//! * `grad_in = g·Wᵀ` in [`Linear::backward_input_into`];
+//! * `grad_w = xᵀ·g` in the weight phase.
+//!
+//! Every element still adds its terms in ascending order (output units
+//! for `grad_in`, batch rows for `grad_w`) with unfused mul then add, as
+//! the historic loops did. Two intermediate values can differ, and
+//! neither reaches a weight:
+//!
+//! * The historic `grad_in` summed with std's `Sum`, which starts at
+//!   `-0.0`; the GEMM starts at `+0.0`. The two running sums differ at
+//!   most in the sign of a zero, and `±0.0 + x = x` for every nonzero
+//!   `x`, so they agree from the first nonzero term on. Only an element
+//!   whose terms are all zero can end as `+0.0` where the historic loop
+//!   gave `-0.0`.
+//! * The GEMM skips a term whose lhs coefficient is `±0.0` when the
+//!   matching rhs row is finite. The term is `±0.0`, and a sum that
+//!   starts at `+0.0` is never `-0.0`, so adding it changes no bit.
+//!
+//! Every consumer of `grad_in` is blind to the sign of a zero. The ReLU
+//! gate overwrites it with `+0.0` wherever the layer input is `<= 0`.
+//! Where it survives, it is one term of `grad_b` and of `grad_w`, both
+//! sums that start at `+0.0`, and a coefficient of the next layer's
+//! `grad_in`, where a `±0.0` coefficient makes a `±0.0` term. So the
+//! sign can move only other exact zeros, and the Adam steps read
+//! `grad_w` and `grad_b` unchanged.
+//!
+//! One rule differs on purpose. A zero input times a non-finite
+//! gradient row is `NaN` (IEEE: `0·NaN = NaN`), and `grad_w` now has it;
+//! the historic kernel skipped zero inputs whatever the gradient. Fits
+//! reject non-finite features and teacher scores up front, so a finite
+//! fit never meets this case.
+//!
+//! Parallelism lives one level up: the UADB fit trains independent
+//! networks side by side, each on its own scratch.
 
 use crate::adam::AdamParams;
+use crate::linear::{row_is_finite, Linear};
 use crate::mlp::{relu_slice, sigmoid_slice, Activation, Mlp};
+use uadb_linalg::gemm::gemm_into;
+use uadb_linalg::matrix::transpose_into;
 use uadb_linalg::Matrix;
 
 /// Reusable training workspace: see the module docs. A scratch is not
@@ -41,6 +78,10 @@ pub struct TrainScratch {
     grads: Vec<Vec<f64>>,
     /// Batch-aligned regression targets, gathered with the rows.
     targets: Vec<f64>,
+    /// `Wᵀ` of the layer whose input gradient is being computed.
+    wt: Vec<f64>,
+    /// `xᵀ` of the layer whose weight gradient is being computed.
+    xt: Vec<f64>,
 }
 
 impl TrainScratch {
@@ -74,6 +115,17 @@ impl TrainScratch {
         }
         if self.targets.len() < batch {
             self.targets.resize(batch, 0.0);
+        }
+        // Layer 0's input gradient is never computed, so its `Wᵀ` is
+        // never needed.
+        let layers = mlp.layers();
+        let need_wt = layers[1..].iter().map(|l| l.input_dim() * l.output_dim()).max().unwrap_or(0);
+        if self.wt.len() < need_wt {
+            self.wt.resize(need_wt, 0.0);
+        }
+        let need_xt = batch * layers.iter().map(Linear::input_dim).max().unwrap_or(0);
+        if self.xt.len() < need_xt {
+            self.xt.resize(need_xt, 0.0);
         }
     }
 
@@ -140,13 +192,13 @@ pub(crate) fn train_batch_step(
     objective: &Objective<'_>,
     hp: &AdamParams,
 ) -> f64 {
-    let TrainScratch { inputs, output, grads, targets } = scratch;
+    let TrainScratch { inputs, output, grads, targets, wt, xt } = scratch;
     let loss = match objective {
         Objective::Mse => BatchLoss::Mse { targets: &targets[..batch] },
         Objective::Svdd { center } => BatchLoss::Svdd { center },
     };
     let output = &mut output[..batch * mlp.output_dim()];
-    row_phase(mlp, inputs, output, grads, batch, loss);
+    row_phase(mlp, inputs, output, grads, wt, batch, loss);
     let total = loss_sum(output, loss);
 
     // --- Weight phase and optimiser, in forward layer order (as the
@@ -157,9 +209,12 @@ pub(crate) fn train_batch_step(
         let (lin, lout) = (layer.input_dim(), layer.output_dim());
         let x = &inputs[li][..batch * lin];
         let g = &grads[li][..batch * lout];
+        let xt = &mut xt[..lin * batch];
+        transpose_into(batch, lin, x, xt);
         let (grad_w, grad_b) = layer.grads_mut();
         accumulate_grad_b(g, lout, grad_b);
-        accumulate_grad_w(x, lin, lout, g, grad_w);
+        // grad_w = xᵀ·g, summed over the batch rows in ascending order.
+        gemm_into(lin, batch, lout, xt, g, None, |r| row_is_finite(g, lout, r), grad_w);
         layer.apply_adam(hp);
     }
     total
@@ -168,13 +223,15 @@ pub(crate) fn train_batch_step(
 /// Forward pass, loss gradient and backward chain over the batch's
 /// `rows` rows: `inputs[i]` receives layer `i`'s input, `output` the
 /// post-activation head, `grads[i]` layer `i`'s pre-activation
-/// gradient.
+/// gradient. `wt` is the transpose scratch of
+/// [`Linear::backward_input_into`].
 // audit: no_alloc
 fn row_phase(
     mlp: &Mlp,
     inputs: &mut [Vec<f64>],
     output: &mut [f64],
     grads: &mut [Vec<f64>],
+    wt: &mut [f64],
     rows: usize,
     loss: BatchLoss<'_>,
 ) {
@@ -226,36 +283,13 @@ fn row_phase(
     // before each layer's backward call.
     for i in (1..=last).rev() {
         let layer = mlp.layer(i);
+        let (lin, lout) = (layer.input_dim(), layer.output_dim());
         let (g_lo, g_hi) = grads.split_at_mut(i);
-        let g_in = &mut g_lo[i - 1][..rows * layer.input_dim()];
-        layer.backward_input_into(&g_hi[0][..rows * layer.output_dim()], rows, g_in);
+        let g_in = &mut g_lo[i - 1][..rows * lin];
+        layer.backward_input_into(&g_hi[0][..rows * lout], rows, &mut wt[..lin * lout], g_in);
         for (g, &a) in g_in.iter_mut().zip(&inputs[i]) {
             if a <= 0.0 {
                 *g = 0.0;
-            }
-        }
-    }
-}
-
-/// `grad_w[i] = Σ_r x[r][i]·g[r]`. Batch rows run in the outer loop
-/// (streaming `x` and `grads` once while `grad_w` stays cache-hot — the
-/// historic serial kernel's layout), so each `grad_w` element
-/// accumulates its per-batch-row contributions in ascending row order.
-/// The `xi == 0.0` skip mirrors the historic kernel (the zeroed entries
-/// it leaves behind are written by the explicit clear up front).
-// audit: no_alloc
-fn accumulate_grad_w(x: &[f64], in_dim: usize, out_dim: usize, grads: &[f64], grad_w: &mut [f64]) {
-    let lout = out_dim.max(1);
-    for d in grad_w.iter_mut() {
-        *d = 0.0;
-    }
-    for (xrow, gr) in x.chunks_exact(in_dim.max(1)).zip(grads.chunks_exact(lout)) {
-        for (dst, &xi) in grad_w.chunks_exact_mut(lout).zip(xrow) {
-            if xi == 0.0 {
-                continue;
-            }
-            for (d, &g) in dst.iter_mut().zip(gr) {
-                *d += xi * g;
             }
         }
     }
@@ -297,5 +331,53 @@ fn loss_sum(output: &[f64], loss: BatchLoss<'_>) -> f64 {
             }
             total
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mlp::MlpConfig;
+    use uadb_linalg::gemm::naive_matmul;
+
+    /// The non-finite rule: a NaN gradient row times a zero input is
+    /// NaN in `grad_w`, bit for bit as the reference product gives it,
+    /// where the historic kernel skipped the zero input.
+    #[test]
+    fn grad_w_keeps_nan_rows_through_zero_inputs() {
+        // One 5 → 20 layer: a full 16-wide strip plus 4 remainder
+        // columns. Under the SVDD loss every output column has a
+        // gradient, so row 1's NaN feature makes its whole gradient
+        // row NaN; its other features are zero.
+        let mut mlp = Mlp::new(&MlpConfig {
+            input_dim: 5,
+            hidden: vec![],
+            output_dim: 20,
+            activation: Activation::Identity,
+            seed: 3,
+        });
+        #[rustfmt::skip]
+        let x = Matrix::from_vec(4, 5, vec![
+            0.5, 0.0, -1.0, 2.0, 0.0,
+            f64::NAN, 0.0, 0.0, 0.0, 0.0,
+            -0.3, 1.2, 0.0, 0.7, 0.0,
+            1.1, -0.4, 0.9, 0.0, 0.0,
+        ])
+        .unwrap();
+        let center = vec![0.1; 20];
+        let mut scratch = TrainScratch::default();
+        scratch.prepare(&mlp, 4);
+        scratch.gather(&x, &[0, 1, 2, 3]);
+        let objective = Objective::Svdd { center: &center };
+        train_batch_step(&mut mlp, &mut scratch, 4, &objective, &AdamParams::default());
+
+        let g = Matrix::from_vec(4, 20, scratch.grads[0][..80].to_vec()).unwrap();
+        assert!(g.row(1).iter().all(|v| v.is_nan()) && g.row(0).iter().all(|v| v.is_finite()));
+        let want = naive_matmul(&x.transpose(), &g);
+        let got = mlp.layer(0).grad_weights();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want.as_slice()));
+        // Feature 4 is zero in every row, so only `0 · NaN` reaches it.
+        assert!(got[4 * 20..].iter().all(|v| v.is_nan()));
     }
 }

@@ -128,12 +128,15 @@ proptest! {
     /// The determinism contract: the scratch engine lands on
     /// *bit-identical* weights to the legacy
     /// `forward_cached`/`backward_and_step` loop — including ragged
-    /// final batches.
+    /// final batches. Hidden widths cross the GEMM's 16-wide strip, so
+    /// both backward products run SIMD strips and remainder columns.
     #[test]
     fn scratch_training_bit_matches_legacy(
         seed in 0u64..64,
         n in 5usize..21,
         batch in 1usize..9,
+        h1 in 1usize..41,
+        h2 in 1usize..41,
     ) {
         let x = Matrix::from_vec(
             n,
@@ -144,7 +147,7 @@ proptest! {
         let targets: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 10) as f64 / 10.0).collect();
         let build = || Mlp::new(&MlpConfig {
             input_dim: 3,
-            hidden: vec![6, 5],
+            hidden: vec![h1, h2],
             output_dim: 1,
             activation: Activation::Sigmoid,
             seed,
@@ -164,12 +167,15 @@ proptest! {
     }
 
     /// Same contract for the SVDD objective (multi-column output
-    /// exercises the grad-row layout and the identity head).
+    /// exercises the grad-row layout and the identity head). The hidden
+    /// and output widths cross the 16-wide strip.
     #[test]
     fn svdd_scratch_training_bit_matches_legacy(
         seed in 0u64..48,
         n in 4usize..17,
         batch in 1usize..7,
+        hidden in 1usize..41,
+        out in 1usize..41,
     ) {
         let x = Matrix::from_vec(
             n,
@@ -177,11 +183,11 @@ proptest! {
             (0..n * 2).map(|i| ((i as f64) * 0.23 - seed as f64 * 0.05).cos()).collect(),
         )
         .unwrap();
-        let center = vec![0.25, -0.4, 0.1];
+        let center: Vec<f64> = (0..out).map(|j| ((j * 5 + 1) % 7) as f64 * 0.15 - 0.45).collect();
         let build = || Mlp::new(&MlpConfig {
             input_dim: 2,
-            hidden: vec![5],
-            output_dim: 3,
+            hidden: vec![hidden],
+            output_dim: out,
             activation: Activation::Identity,
             seed,
         });
@@ -198,4 +204,39 @@ proptest! {
         train_svdd(&mut mlp, &x, &center, &cfg);
         prop_assert_eq!(weight_bits(&mlp), weight_bits(&reference), "diverged from legacy loop");
     }
+}
+
+/// The bit-identity contract past the GEMM's blocking: hidden layers
+/// wider than its 64-row block and a batch deeper than its 256-deep `k`
+/// block, so `grad_w = xᵀ·g` runs more than one block on both `m` and
+/// `k`, and `grad_in = g·Wᵀ` more than one row block.
+#[test]
+fn scratch_training_bit_matches_legacy_across_gemm_blocks() {
+    let n = 330;
+    let x =
+        Matrix::from_vec(n, 5, (0..n * 5).map(|i| ((i as f64) * 0.29 + 0.4).sin() * 1.5).collect())
+            .unwrap();
+    let targets: Vec<f64> = (0..n).map(|i| ((i * 11 + 2) % 13) as f64 / 12.0).collect();
+    let build = || {
+        Mlp::new(&MlpConfig {
+            input_dim: 5,
+            hidden: vec![80, 70],
+            output_dim: 1,
+            activation: Activation::Sigmoid,
+            seed: 17,
+        })
+    };
+    // 330 rows at batch 300 also leave a ragged 30-row batch.
+    let cfg = TrainConfig {
+        adam: AdamParams::default(),
+        batch_size: 300,
+        epochs: 2,
+        shuffle_seed: 5,
+        progress: None,
+    };
+    let mut reference = build();
+    legacy_train_regression(&mut reference, &x, &targets, &cfg);
+    let mut mlp = build();
+    train_regression(&mut mlp, &x, &targets, &cfg);
+    assert!(weight_bits(&mlp) == weight_bits(&reference), "diverged from legacy loop");
 }

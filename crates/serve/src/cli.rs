@@ -248,7 +248,7 @@ fn train(flags: &Flags) -> Result<(), CliError> {
     );
     let (served, fitted_teacher) =
         ServedModel::train_with_teacher_workers(&data, teacher, cfg, train_workers)
-            .map_err(|e| err(format!("teacher failed: {e}")))?;
+            .map_err(|e| err(format!("training failed: {e}")))?;
     // Ground-truth labels, when present, are used for reporting only.
     if data.n_anomalies() > 0 {
         let scores =
@@ -595,6 +595,37 @@ mod tests {
                 .collect();
         let e = dispatch(&args).unwrap_err();
         assert!(e.0.contains("--steps"), "message: {}", e.0);
+    }
+
+    #[test]
+    fn train_rejects_a_nan_csv_cell() {
+        // Used to panic in the second UADB step's variance update.
+        let dir = std::env::temp_dir();
+        let csv = dir.join(format!("uadb-nan-cell-{}.csv", std::process::id()));
+        let out = dir.join(format!("uadb-nan-cell-{}.uadb", std::process::id()));
+        let mut text = String::from("a,b,c\n");
+        for i in 0..40 {
+            let b = if i == 2 { "NaN".to_string() } else { (i % 7).to_string() };
+            text.push_str(&format!("{},{b},{}\n", i as f64 * 0.5, (i * 3) % 11));
+        }
+        std::fs::write(&csv, text).unwrap();
+        let args: Vec<String> = [
+            "train",
+            "--csv",
+            csv.to_str().unwrap(),
+            "--steps",
+            "2",
+            "--out",
+            out.to_str().unwrap(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let e = dispatch(&args).unwrap_err();
+        assert!(e.0.contains("row 2 has a non-finite feature"), "message: {}", e.0);
+        assert_eq!(run(&args), 1);
+        assert!(!out.exists(), "a failed fit must not write a model");
+        std::fs::remove_file(&csv).unwrap();
     }
 
     #[test]

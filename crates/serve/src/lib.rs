@@ -91,7 +91,9 @@ pub mod registry;
 pub mod telemetry;
 
 pub use http::{Server, ServerConfig, ServerHandle, ServerStats, StopSignal};
-pub use model::{ModelMeta, ScoreError, ScoreWorkspace, ServedModel, TeacherModel, Variant};
+pub use model::{
+    ModelMeta, ScoreError, ScoreWorkspace, ServedModel, TeacherModel, TrainError, Variant,
+};
 pub use persist::{
     load, load_file, load_record, load_record_file, load_teacher, load_teacher_file, save,
     save_file, save_teacher, save_teacher_file, PersistError, Record, FORMAT_VERSION,

@@ -17,6 +17,7 @@
 
 use std::fmt;
 use std::sync::Arc;
+use uadb::booster::{check_features, UadbError};
 use uadb::{ScoreCalibration, ScoreScratch, Uadb, UadbConfig, UadbModel};
 use uadb_data::preprocess::Standardizer;
 use uadb_data::Dataset;
@@ -206,6 +207,26 @@ impl fmt::Display for ScoreError {
 
 impl std::error::Error for ScoreError {}
 
+/// Why training a [`ServedModel`] failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrainError {
+    /// The teacher could not fit or score the training rows.
+    Teacher(DetectorError),
+    /// The booster refused its inputs (for example a NaN feature).
+    Booster(UadbError),
+}
+
+impl fmt::Display for TrainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrainError::Teacher(e) => write!(f, "teacher failed: {e}"),
+            TrainError::Booster(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for TrainError {}
+
 /// A frozen fitted teacher, servable next to its distilled booster: the
 /// detector's snapshot-restored state, the train-time standardiser, and
 /// the min-max calibration fitted on the teacher's training scores (the
@@ -343,7 +364,7 @@ impl ServedModel {
         data: &Dataset,
         teacher: DetectorKind,
         cfg: UadbConfig,
-    ) -> Result<Self, DetectorError> {
+    ) -> Result<Self, TrainError> {
         let (mut served, _) = Self::train_with_teacher(data, teacher, cfg)?;
         served.teacher = None;
         Ok(served)
@@ -360,7 +381,7 @@ impl ServedModel {
         data: &Dataset,
         teacher: DetectorKind,
         cfg: UadbConfig,
-    ) -> Result<(Self, Arc<TeacherModel>), DetectorError> {
+    ) -> Result<(Self, Arc<TeacherModel>), TrainError> {
         Self::train_with_teacher_workers(data, teacher, cfg, 1)
     }
 
@@ -375,18 +396,21 @@ impl ServedModel {
         teacher: DetectorKind,
         cfg: UadbConfig,
         train_workers: usize,
-    ) -> Result<(Self, Arc<TeacherModel>), DetectorError> {
+    ) -> Result<(Self, Arc<TeacherModel>), TrainError> {
         // Datasets with no rows or no feature columns (e.g. a 1-column
         // CSV whose only column was the label) must error cleanly, not
         // panic inside a teacher or the booster.
         if data.n_samples() == 0 || data.n_features() == 0 {
-            return Err(DetectorError::EmptyInput);
+            return Err(TrainError::Teacher(DetectorError::EmptyInput));
         }
+        // Checked on the raw rows: standardising spreads one NaN over
+        // its whole column, and the teacher must not see it either.
+        check_features(&data.x).map_err(TrainError::Booster)?;
         let standardizer = Standardizer::fit(&data.x);
         let x = standardizer.transform(&data.x);
         let seed = cfg.seed;
         let mut detector = snapshot::build(teacher, seed);
-        let teacher_scores = detector.fit_score(&x)?;
+        let teacher_scores = detector.fit_score(&x).map_err(TrainError::Teacher)?;
         // Training-loop observability: every epoch of every member fit
         // bumps the process epoch counter, refreshes the per-model
         // last-loss gauge, and emits a debug-level structured log line.
@@ -411,7 +435,7 @@ impl ServedModel {
         }));
         let model = Uadb::new(cfg)
             .fit_with(&x, &teacher_scores, train_workers)
-            .expect("teacher produced aligned scores");
+            .map_err(TrainError::Booster)?;
         let meta = ModelMeta {
             dataset: data.name.clone(),
             teacher: teacher.name().to_string(),
@@ -607,10 +631,10 @@ pub(crate) mod tests {
         use uadb_linalg::Matrix;
         let empty = Dataset::new("empty", Matrix::zeros(5, 0), vec![0; 5], "Test");
         let r = ServedModel::train(&empty, DetectorKind::IForest, UadbConfig::fast_for_tests(0));
-        assert!(matches!(r, Err(DetectorError::EmptyInput)));
+        assert!(matches!(r, Err(TrainError::Teacher(DetectorError::EmptyInput))));
         let none = Dataset::new("none", Matrix::zeros(0, 3), vec![], "Test");
         let r = ServedModel::train(&none, DetectorKind::Hbos, UadbConfig::fast_for_tests(0));
-        assert!(matches!(r, Err(DetectorError::EmptyInput)));
+        assert!(matches!(r, Err(TrainError::Teacher(DetectorError::EmptyInput))));
     }
 
     #[test]
