@@ -4,17 +4,13 @@
 //! compute, too).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use uadb_bench::setup;
+use uadb_bench::setup::Settings;
+use uadb_data::suite::{generate_by_name, SuiteScale};
 use uadb_detectors::DetectorKind;
 
 fn bench(c: &mut Criterion) {
-    let d = uadb_data::suite::generate_by_name(
-        "12_glass",
-        uadb_data::suite::SuiteScale::Quick,
-        setup::seed(),
-    )
-    .unwrap()
-    .standardized();
+    let seed = Settings::from_env().unwrap_or_else(|e| panic!("{e}")).seed;
+    let d = generate_by_name("12_glass", SuiteScale::Quick, seed).unwrap().standardized();
     let mut g = c.benchmark_group("detectors_fit_score");
     g.sample_size(10);
     for kind in DetectorKind::ALL {

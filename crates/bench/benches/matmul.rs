@@ -12,38 +12,15 @@
 //! row, 256 rows, 8k rows) for both the allocating `Mlp::forward` and
 //! the zero-allocation `Mlp::forward_scored` paths.
 //!
-//! Environment knobs:
-//! * `UADB_BENCH_SMOKE=1` — 3 samples per case (CI smoke mode);
-//! * `UADB_BENCH_JSON=path` — where to write the machine-readable
-//!   summary (default: `<workspace>/BENCH_matmul.json`).
+//! `UADB_BENCH_SMOKE` and `UADB_BENCH_JSON` work as in `common`; the
+//! summary goes to `<workspace>/BENCH_matmul.json` by default.
 
+mod common;
+
+use common::{filled_matrix, samples};
 use criterion::{black_box, criterion_group, Criterion};
 use uadb_linalg::gemm::{naive_matmul, GemmScratch};
-use uadb_linalg::Matrix;
 use uadb_nn::{Activation, ForwardScratch, Mlp, MlpConfig};
-
-/// Deterministic pseudo-random fill (no `rand` dependency; xorshift64*).
-fn filled_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let bits = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        // Map to (-1, 1); keeps magnitudes in the MLP's working range.
-        (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-    };
-    let data: Vec<f64> = (0..rows * cols).map(|_| next()).collect();
-    Matrix::from_vec(rows, cols, data).expect("shape matches data")
-}
-
-fn samples() -> usize {
-    if std::env::var("UADB_BENCH_SMOKE").is_ok_and(|v| v == "1") {
-        3
-    } else {
-        30
-    }
-}
 
 fn bench(c: &mut Criterion) {
     let sample_size = samples();
@@ -137,51 +114,9 @@ fn bench(c: &mut Criterion) {
 
 criterion_group!(benches, bench);
 
-/// JSON escape for benchmark names (they are ASCII identifiers, but be
-/// strict anyway).
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Custom main (instead of `criterion_main!`): runs the groups, then
-/// persists every recorded timing as `BENCH_matmul.json` so the perf
-/// trajectory is tracked across PRs.
+/// writes `BENCH_matmul.json`.
 fn main() {
     benches();
-    let results = criterion::take_results();
-    let epoch_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"bench\": \"matmul\",\n  \"unix_time\": {epoch_secs},\n"));
-    json.push_str(&format!("  \"smoke\": {},\n  \"results\": [\n", samples() == 3));
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"min_ns\": {:.0}, \
-             \"mean_ns\": {:.0}, \"samples\": {}}}{}\n",
-            esc(&r.group),
-            esc(&r.name),
-            r.min_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = std::env::var("UADB_BENCH_JSON").unwrap_or_else(|_| {
-        // Bench binaries run with the package as cwd; anchor the file
-        // at the workspace root regardless.
-        format!("{}/../../BENCH_matmul.json", env!("CARGO_MANIFEST_DIR"))
-    });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("bench results written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    common::write_results("matmul");
 }

@@ -11,13 +11,14 @@
 //!   persistent connections, the reactor-sharding scaling case (shard
 //!   counts only separate on multi-core runners).
 //!
-//! Environment knobs:
-//! * `UADB_BENCH_SMOKE=1` — 3 samples per case (CI smoke mode);
-//! * `UADB_BENCH_SHARDS=1,2` — pin the shard-count list (default:
-//!   1, min(4, cores), cores, deduplicated);
-//! * `UADB_BENCH_JSON=path` — where to write the machine-readable
-//!   summary (default: `<workspace>/BENCH_serve.json`).
+//! `UADB_BENCH_SHARDS=1,2` pins the shard-count list (default: 1,
+//! min(4, cores), cores, deduplicated). `UADB_BENCH_SMOKE` and
+//! `UADB_BENCH_JSON` work as in `common`; the summary goes to
+//! `<workspace>/BENCH_serve.json` by default.
 
+mod common;
+
+use common::samples;
 use criterion::{black_box, criterion_group, Criterion};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -31,14 +32,6 @@ use uadb_serve::json::{self, Value};
 use uadb_serve::model::ServedModel;
 use uadb_serve::pool::PoolConfig;
 use uadb_serve::{ModelRegistry, Server, ServerConfig, ServerHandle};
-
-fn samples() -> usize {
-    if std::env::var("UADB_BENCH_SMOKE").is_ok_and(|v| v == "1") {
-        3
-    } else {
-        30
-    }
-}
 
 /// Shard counts to bench: `UADB_BENCH_SHARDS` (comma-separated) or
 /// {1, min(4, cores), cores} deduplicated.
@@ -221,51 +214,9 @@ fn bench(c: &mut Criterion) {
 
 criterion_group!(benches, bench);
 
-/// JSON escape for benchmark names (they are ASCII identifiers, but be
-/// strict anyway).
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Custom main (instead of `criterion_main!`): runs the grid, then
-/// persists every recorded timing as `BENCH_serve.json` so the serving
-/// plane's perf trajectory is tracked across PRs.
+/// writes `BENCH_serve.json`.
 fn main() {
     benches();
-    let results = criterion::take_results();
-    let epoch_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"bench\": \"serve\",\n  \"unix_time\": {epoch_secs},\n"));
-    json.push_str(&format!("  \"smoke\": {},\n  \"results\": [\n", samples() == 3));
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"min_ns\": {:.0}, \
-             \"mean_ns\": {:.0}, \"samples\": {}}}{}\n",
-            esc(&r.group),
-            esc(&r.name),
-            r.min_ns,
-            r.mean_ns,
-            r.samples,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = std::env::var("UADB_BENCH_JSON").unwrap_or_else(|_| {
-        // Bench binaries run with the package as cwd; anchor the file
-        // at the workspace root regardless.
-        format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR"))
-    });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("bench results written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    common::write_results("serve");
 }

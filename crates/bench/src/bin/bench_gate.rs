@@ -38,46 +38,32 @@
 use std::collections::BTreeMap;
 use std::process::exit;
 
-/// Extracts `name -> min_ns` from the bench harness's own JSON emission.
+/// Extracts `name -> min_ns` from a bench's own JSON emission, or says
+/// why it cannot: the file is unreadable or holds no results.
 ///
-/// The file is produced by `crates/bench/benches/matmul.rs` with one
-/// result object per line, so a line-oriented scan is exact for this
-/// format (this is not a general JSON parser and does not need to be).
-fn parse_results(path: &str) -> BTreeMap<String, f64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read {path}: {e}");
-            exit(2);
-        }
-    };
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let Some(name) = field_str(line, "\"name\": \"") else { continue };
-        let Some(min_ns) = field_num(line, "\"min_ns\": ") else { continue };
-        out.insert(name.to_string(), min_ns);
-    }
+/// The benches write one result object per line (`benches/common`), so
+/// a line-oriented scan is exact for this format (this is not a general
+/// JSON parser and does not need to be).
+fn scan_results(path: &str) -> Result<BTreeMap<String, f64>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let out: BTreeMap<String, f64> = text
+        .lines()
+        .filter_map(|line| {
+            Some((field_str(line, "\"name\": \"")?.to_string(), field_num(line, "\"min_ns\": ")?))
+        })
+        .collect();
     if out.is_empty() {
-        eprintln!("bench_gate: no results parsed from {path}");
-        exit(2);
+        return Err(format!("no results parsed from {path}"));
     }
-    out
+    Ok(out)
 }
 
-/// `parse_results` that tolerates a missing/empty file: the reference
-/// gate is advisory on machines that never produced the emission.
-fn try_parse_results(path: &str) -> Option<BTreeMap<String, f64>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let Some(name) = field_str(line, "\"name\": \"") else { continue };
-        let Some(min_ns) = field_num(line, "\"min_ns\": ") else { continue };
-        out.insert(name.to_string(), min_ns);
-    }
-    if out.is_empty() {
-        return None;
-    }
-    Some(out)
+/// [`scan_results`] for a file the gate needs: failure exits with 2.
+fn parse_results(path: &str) -> BTreeMap<String, f64> {
+    scan_results(path).unwrap_or_else(|e| {
+        eprintln!("bench_gate: {e}");
+        exit(2);
+    })
 }
 
 fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -204,9 +190,11 @@ fn main() {
     }
 
     if let Some(path) = reference_path {
-        match try_parse_results(&path) {
-            None => println!("bench_gate: SKIP reference gate ({path} missing or empty)"),
-            Some(reference) => {
+        match scan_results(&path) {
+            // The reference gate is advisory on machines that never
+            // produced the emission.
+            Err(_) => println!("bench_gate: SKIP reference gate ({path} missing or empty)"),
+            Ok(reference) => {
                 println!("bench_gate: reference gate against {path}");
                 for &(name, ratio) in REFERENCE_INVARIANTS {
                     let (Some(&c), Some(&r)) = (candidate.get(name), reference.get(name)) else {

@@ -1,14 +1,17 @@
-//! One function per table/figure of the paper, named after it; each
-//! computes the experiment and prints the corresponding rows.
+//! One function per table/figure of the paper, named after it, plus
+//! [`ablation`]; each computes the experiment and prints the
+//! corresponding rows.
 
 use crate::report::{f4, f4s, pval, Table};
-use crate::setup;
+use crate::setup::Settings;
+use uadb::booster::CorrectionScale;
 use uadb::experiment::{
     run_matrix, run_scheme_matrix, summarize_model, ExperimentConfig, Metric, PairResult,
 };
 use uadb::trajectory;
 use uadb::variance_probe::{probe, VarianceEvidence};
 use uadb::{BoosterScheme, Uadb, UadbConfig};
+use uadb_data::suite::generate_by_name;
 use uadb_data::synth::{fig5_dataset, AnomalyType};
 use uadb_data::Dataset;
 use uadb_detectors::DetectorKind;
@@ -16,8 +19,8 @@ use uadb_metrics::{count_errors_top_k, error_correction_rate, roc_auc};
 use uadb_stats::BoxplotStats;
 
 /// Table III: the dataset roster with generated shapes.
-pub fn table3() {
-    let datasets = setup::all_datasets();
+pub fn table3(s: &Settings) {
+    let datasets = s.all_datasets();
     let mut t = Table::new(vec!["Dataset", "n", "d", "% Anomaly", "Category"]);
     for d in &datasets {
         t.row(vec![
@@ -145,9 +148,8 @@ pub fn table6(kinds: &[DetectorKind], datasets: &[Dataset], cfg: &ExperimentConf
 
 /// Fig. 1: per-instance variance of inliers vs anomalies under IForest +
 /// naive imitation learner, on the paper's four example datasets.
-pub fn fig1(cfg: &UadbConfig) -> Vec<VarianceEvidence> {
+pub fn fig1(s: &Settings, cfg: &UadbConfig) -> Vec<VarianceEvidence> {
     let names = ["12_glass", "25_musk", "27_PageBlocks", "39_thyroid"];
-    let scale = uadb_data::suite::SuiteScale::from_env();
     let mut t = Table::new(vec![
         "Dataset",
         "mean var (normal)",
@@ -157,9 +159,7 @@ pub fn fig1(cfg: &UadbConfig) -> Vec<VarianceEvidence> {
     ]);
     let mut out = Vec::new();
     for name in names {
-        let d = uadb_data::suite::generate_by_name(name, scale, setup::seed())
-            .expect("roster name")
-            .standardized();
+        let d = generate_by_name(name, s.scale, s.seed).expect("roster name").standardized();
         let teacher = DetectorKind::IForest.build(cfg.seed).fit_score(&d.x).unwrap();
         let ev = probe(&d, &teacher, cfg).unwrap();
         let anom_vars: Vec<f64> = ev
@@ -185,8 +185,8 @@ pub fn fig1(cfg: &UadbConfig) -> Vec<VarianceEvidence> {
 
 /// Fig. 2: relative variance difference on all 84 datasets. Returns the
 /// evidence per dataset (reused by Fig. 6).
-pub fn fig2(cfg: &UadbConfig) -> Vec<VarianceEvidence> {
-    let datasets = setup::all_datasets();
+pub fn fig2(s: &Settings, cfg: &UadbConfig) -> Vec<VarianceEvidence> {
+    let datasets = s.all_datasets();
     let evidence: Vec<VarianceEvidence> = datasets
         .iter()
         .map(|d| {
@@ -214,8 +214,8 @@ pub fn fig2(cfg: &UadbConfig) -> Vec<VarianceEvidence> {
 }
 
 /// Fig. 4: per-case booster score trajectories, UADB vs a static student.
-pub fn fig4(cfg: &UadbConfig) {
-    let d = fig5_dataset(AnomalyType::Clustered, setup::seed() ^ 0xf164).standardized();
+pub fn fig4(s: &Settings, cfg: &UadbConfig) {
+    let d = fig5_dataset(AnomalyType::Clustered, s.seed ^ 0xf164).standardized();
     let teacher = DetectorKind::IForest.build(cfg.seed).fit_score(&d.x).unwrap();
     let (traj, _) = trajectory::trace(&d, &teacher, cfg).unwrap();
     let mut t = Table::new(vec!["iter", "TN", "TP", "FP", "FN", "AUCROC"]);
@@ -237,9 +237,9 @@ pub fn fig4(cfg: &UadbConfig) {
     let labels = d.labels_f64();
     let mut means = [0.0f64; 4];
     let mut counts = [0usize; 4];
-    for (&s, &c) in naive.iter().zip(&cases) {
+    for (&score, &c) in naive.iter().zip(&cases) {
         let i = trajectory::Case::ALL.iter().position(|&a| a == c).unwrap();
-        means[i] += s;
+        means[i] += score;
         counts[i] += 1;
     }
     for (m, c) in means.iter_mut().zip(counts) {
@@ -259,7 +259,7 @@ pub fn fig4(cfg: &UadbConfig) {
 
 /// Fig. 5: the synthetic study — error counts of teacher vs booster on
 /// the four anomaly types. Returns the average correction rate.
-pub fn fig5(cfg: &UadbConfig) -> f64 {
+pub fn fig5(s: &Settings, cfg: &UadbConfig) -> f64 {
     // (anomaly type, the two models the paper pairs with it)
     let pairs: [(AnomalyType, [DetectorKind; 2]); 4] = [
         (AnomalyType::Clustered, [DetectorKind::IForest, DetectorKind::Hbos]),
@@ -278,7 +278,7 @@ pub fn fig5(cfg: &UadbConfig) -> f64 {
     ]);
     let mut rates = Vec::with_capacity(8);
     for (ty, models) in pairs {
-        let d = fig5_dataset(ty, setup::seed() ^ 0x515).standardized();
+        let d = fig5_dataset(ty, s.seed ^ 0x515).standardized();
         let labels = d.labels_f64();
         let budget = d.n_anomalies();
         for kind in models {
@@ -311,19 +311,17 @@ pub fn fig5(cfg: &UadbConfig) -> f64 {
 
 /// Fig. 6: UADB improvement restricted to the datasets where the variance
 /// evidence fails (anomalies do NOT have higher variance).
-pub fn fig6(kinds: &[DetectorKind], cfg: &ExperimentConfig) {
-    let evidence = {
-        let datasets = setup::all_datasets();
-        datasets
-            .iter()
-            .map(|d| {
-                let std_d = d.standardized();
-                let teacher =
-                    DetectorKind::IForest.build(cfg.booster.seed).fit_score(&std_d.x).unwrap();
-                probe(&std_d, &teacher, &cfg.booster).unwrap()
-            })
-            .collect::<Vec<_>>()
-    };
+pub fn fig6(s: &Settings, kinds: &[DetectorKind], cfg: &ExperimentConfig) {
+    let all = s.all_datasets();
+    let evidence: Vec<VarianceEvidence> = all
+        .iter()
+        .map(|d| {
+            let std_d = d.standardized();
+            let teacher =
+                DetectorKind::IForest.build(cfg.booster.seed).fit_score(&std_d.x).unwrap();
+            probe(&std_d, &teacher, &cfg.booster).unwrap()
+        })
+        .collect();
     let failing: Vec<String> = evidence
         .iter()
         .filter(|e| !e.anomalies_have_higher_variance())
@@ -333,8 +331,7 @@ pub fn fig6(kinds: &[DetectorKind], cfg: &ExperimentConfig) {
         "\nFig. 6 universe: {} datasets where anomalies do NOT have higher variance",
         failing.len()
     );
-    let datasets: Vec<Dataset> =
-        setup::all_datasets().into_iter().filter(|d| failing.contains(&d.name)).collect();
+    let datasets: Vec<Dataset> = all.into_iter().filter(|d| failing.contains(&d.name)).collect();
     if datasets.is_empty() {
         println!("(no failing datasets at this seed — evidence holds everywhere)");
         return;
@@ -408,14 +405,11 @@ pub fn fig8(kinds: &[DetectorKind], datasets: &[Dataset], cfg: &ExperimentConfig
 
 /// Fig. 9: ranking development of TP/TN/FP/FN under a LOF teacher with
 /// T = 20 on the paper's three example datasets.
-pub fn fig9(cfg: &UadbConfig) {
+pub fn fig9(s: &Settings, cfg: &UadbConfig) {
     let mut long_cfg = cfg.clone();
     long_cfg.t_steps = 20;
-    let scale = uadb_data::suite::SuiteScale::from_env();
     for name in ["19_landsat", "26_optdigits", "31_satellite"] {
-        let d = uadb_data::suite::generate_by_name(name, scale, setup::seed())
-            .expect("roster name")
-            .standardized();
+        let d = generate_by_name(name, s.scale, s.seed).expect("roster name").standardized();
         let teacher = DetectorKind::Lof.build(cfg.seed).fit_score(&d.x).unwrap();
         let (traj, _) = trajectory::trace(&d, &teacher, &long_cfg).unwrap();
         let mut t = Table::new(vec!["iter", "rank TP", "rank TN", "rank FP", "rank FN", "AUCROC"]);
@@ -469,6 +463,39 @@ pub fn fig10(results: &[PairResult], kinds: &[DetectorKind]) {
     }
 }
 
+/// Ablation of UADB's own design choices: CV ensemble size, warm start
+/// vs per-step reinitialisation, the dispersion scale of the correction
+/// term and the step count, averaged over IForest, HBOS and LOF.
+pub fn ablation(datasets: &[Dataset], cfg: &ExperimentConfig) {
+    let kinds = [DetectorKind::IForest, DetectorKind::Hbos, DetectorKind::Lof];
+    let base = &cfg.booster;
+    let variants: [(&str, UadbConfig); 5] = [
+        ("default (3-fold, warm, std)", base.clone()),
+        ("single booster (no CV)", UadbConfig { cv_folds: 1, ..base.clone() }),
+        ("fresh members per step", UadbConfig { warm_start: false, ..base.clone() }),
+        (
+            "raw-variance correction",
+            UadbConfig { correction: CorrectionScale::Variance, ..base.clone() },
+        ),
+        ("5 UADB steps", UadbConfig { t_steps: 5, ..base.clone() }),
+    ];
+    let mut t = Table::new(vec!["Variant", "avg teacher AUC", "avg booster AUC", "improvement"]);
+    for (name, booster) in variants {
+        let results = run_matrix(&kinds, datasets, &ExperimentConfig { booster, ..cfg.clone() });
+        let mut orig = 0.0;
+        let mut improv = 0.0;
+        for k in kinds {
+            let s = summarize_model(&results, k.name(), Metric::AucRoc);
+            orig += s.original;
+            improv += s.improvement;
+        }
+        orig /= kinds.len() as f64;
+        improv /= kinds.len() as f64;
+        t.row(vec![name.to_string(), f4(orig), f4(orig + improv), f4s(improv)]);
+    }
+    t.print("Ablation: UADB design choices (IForest/HBOS/LOF average)");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,7 +506,7 @@ mod tests {
 
     #[test]
     fn fig5_produces_rates_in_range() {
-        let avg = fig5(&UadbConfig::fast_for_tests(0));
+        let avg = fig5(&Settings::default(), &UadbConfig::fast_for_tests(0));
         assert!((0.0..=1.0).contains(&avg));
     }
 
@@ -494,7 +521,12 @@ mod tests {
 
     #[test]
     fn fig1_reports_four_datasets() {
-        let ev = fig1(&UadbConfig::fast_for_tests(0));
+        let ev = fig1(&Settings::default(), &UadbConfig::fast_for_tests(0));
         assert_eq!(ev.len(), 4);
+    }
+
+    #[test]
+    fn ablation_runs_every_variant() {
+        ablation(&[fig5_dataset(AnomalyType::Global, 1)], &tiny_cfg());
     }
 }

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for the experiment harness.
 //!
-//! Output goes to stdout in aligned columns so `cargo bench`/bin logs are
+//! Output goes to stdout in aligned columns so `repro` logs are
 //! directly comparable to the paper's tables.
 
 use std::io::Write;

@@ -23,7 +23,7 @@ pub enum CorrectionScale {
     /// cannot re-order anything before min-max recompression absorbs it.
     /// The √ rescaling restores the paper's effective drip magnitude
     /// (≈0.05–0.1 per step for anomalies) without changing which points
-    /// get corrected. The `ablation_cv` bench measures both scales.
+    /// get corrected. `repro ablation` (`uadb_bench`) measures both scales.
     StdDev,
 }
 
@@ -42,13 +42,13 @@ pub struct UadbConfig {
     /// Hidden layer widths (paper: `[128, 128]` — a "3-layer" MLP).
     pub hidden: Vec<usize>,
     /// Cross-validation booster count (paper: 3). `1` disables the
-    /// ensemble (used by the CV ablation bench).
+    /// ensemble (used by `repro ablation`).
     pub cv_folds: usize,
     /// Keep booster weights across steps (`true`, the default) or
     /// re-initialise each step (`false`). Warm starting keeps the booster
     /// faithful to the accumulated pseudo labels; per-step fresh members
     /// maximise the checkpoint-instability variance signal of §III-B but
-    /// under-fit the final labels at small `n` (the `ablation_cv` bench
+    /// under-fit the final labels at small `n` (`repro ablation`
     /// measures both).
     pub warm_start: bool,
     /// Dispersion scale of the error-correction term (see

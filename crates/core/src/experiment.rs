@@ -20,8 +20,9 @@ use uadb_stats::{wilcoxon_signed_rank, WilcoxonResult};
 pub struct ExperimentConfig {
     /// Booster configuration (paper defaults unless overridden).
     pub booster: UadbConfig,
-    /// Independent runs averaged per cell (paper: 10; benches default to
-    /// `UADB_RUNS` or 1 to stay laptop-sized).
+    /// Independent runs averaged per cell (paper: 10; `repro` in
+    /// `uadb_bench` takes it from `UADB_RUNS`, default 1 to stay
+    /// laptop-sized).
     pub n_runs: usize,
     /// Worker threads for the matrix (0 = all available cores).
     pub n_threads: usize,
@@ -30,13 +31,6 @@ pub struct ExperimentConfig {
 impl Default for ExperimentConfig {
     fn default() -> Self {
         Self { booster: UadbConfig::default(), n_runs: 1, n_threads: 0 }
-    }
-}
-
-impl ExperimentConfig {
-    /// Reads `UADB_RUNS` from the environment (default 1).
-    pub fn runs_from_env() -> usize {
-        std::env::var("UADB_RUNS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
     }
 }
 

@@ -135,27 +135,16 @@ pub const QUICK_SUBSET: [&str; 12] = [
     "6_cardio",
 ];
 
-/// Suite size profile.
+/// Suite size profile: dataset *sizes*, orthogonal to roster coverage
+/// (the 12-entry [`QUICK_SUBSET`] vs all 84). `repro` in `uadb_bench`
+/// takes both from its settings and defaults to all 84 entries at
+/// `Quick` size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuiteScale {
     /// Small datasets (n ∈ [240, 520]) for CI-grade runs.
     Quick,
     /// Laptop-scale datasets (n ∈ [400, 1200]) for full reproductions.
     Full,
-}
-
-impl SuiteScale {
-    /// Reads `UADB_SCALE` (`quick`/`full`) from the environment,
-    /// defaulting to `Quick`. Orthogonal to `UADB_SUITE`, which selects
-    /// roster *coverage* (12-dataset subset vs all 84) in the harness —
-    /// the full-run `uadb_bench` binaries default to full coverage at
-    /// quick scale.
-    pub fn from_env() -> Self {
-        match std::env::var("UADB_SCALE").ok().as_deref() {
-            Some("full") | Some("FULL") => SuiteScale::Full,
-            _ => SuiteScale::Quick,
-        }
-    }
 }
 
 /// FNV-1a 64-bit hash — the deterministic per-name parameter source.
@@ -320,11 +309,5 @@ mod tests {
     #[test]
     fn generate_by_unknown_name_is_none() {
         assert!(generate_by_name("not_a_dataset", SuiteScale::Quick, 0).is_none());
-    }
-
-    #[test]
-    fn suite_scale_env_default_is_quick() {
-        std::env::remove_var("UADB_SCALE");
-        assert_eq!(SuiteScale::from_env(), SuiteScale::Quick);
     }
 }

@@ -140,7 +140,8 @@ impl DetectorSnapshot for Cof {
         snapshot::ensure_finite(&f.ac_dist, "cof: non-finite chaining distance")?;
         snapshot::write_u64(w, self.n_neighbors as u64)?;
         snapshot::write_matrix(w, &f.train)?;
-        snapshot::write_f64s(w, &f.ac_dist)
+        snapshot::write_f64s(w, &f.ac_dist)?;
+        Ok(())
     }
 }
 

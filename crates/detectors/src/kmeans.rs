@@ -144,7 +144,8 @@ impl KMeans {
         for &s in &self.sizes {
             snapshot::write_u64(w, s as u64)?;
         }
-        snapshot::write_f64(w, self.inertia)
+        snapshot::write_f64(w, self.inertia)?;
+        Ok(())
     }
 
     /// Restores a clustering written by [`KMeans::write_to`].

@@ -67,7 +67,8 @@ impl DetectorSnapshot for Knn {
         let train = self.train.as_ref().ok_or(SnapshotError::InvalidState("knn: not fitted"))?;
         snapshot::ensure_finite(train.as_slice(), "knn: non-finite training point")?;
         snapshot::write_u64(w, self.n_neighbors as u64)?;
-        snapshot::write_matrix(w, train)
+        snapshot::write_matrix(w, train)?;
+        Ok(())
     }
 }
 

@@ -128,7 +128,8 @@ impl DetectorSnapshot for Lof {
         snapshot::write_u64(w, self.n_neighbors as u64)?;
         snapshot::write_matrix(w, &f.train)?;
         snapshot::write_f64s(w, &f.k_dist)?;
-        snapshot::write_f64s(w, &f.lrd)
+        snapshot::write_f64s(w, &f.lrd)?;
+        Ok(())
     }
 }
 

@@ -210,7 +210,8 @@ impl DetectorSnapshot for OcSvm {
         snapshot::write_matrix(w, &f.support)?;
         snapshot::write_f64s(w, &f.alpha)?;
         snapshot::write_f64(w, f.gamma)?;
-        snapshot::write_f64(w, f.rho)
+        snapshot::write_f64(w, f.rho)?;
+        Ok(())
     }
 }
 

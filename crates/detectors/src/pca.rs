@@ -113,7 +113,8 @@ impl DetectorSnapshot for Pca {
         snapshot::write_f64s(w, &f.means)?;
         snapshot::write_matrix(w, &f.components)?;
         snapshot::write_u64(w, f.eigenvalues.len() as u64)?;
-        snapshot::write_f64s(w, &f.eigenvalues)
+        snapshot::write_f64s(w, &f.eigenvalues)?;
+        Ok(())
     }
 }
 

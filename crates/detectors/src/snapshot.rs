@@ -22,7 +22,9 @@
 //! There is no magic/version/trailer here: snapshots are designed to be
 //! embedded as a record inside an outer versioned container (the serve
 //! crate's model-file format), which provides those. The
-//! [`save`]/[`load`] helpers operate on any `Write`/`Read`.
+//! [`save`]/[`load`] helpers operate on any `Write`/`Read`. The
+//! little-endian primitives they use ([`write_u64`], [`read_f64s`] and
+//! the rest) are public: that container is written with the same codec.
 //!
 //! ## Safety against corrupt input
 //!
@@ -210,53 +212,83 @@ pub fn load_payload(
 }
 
 // ---------------------------------------------------------------------
-// Shared codec helpers (pub(crate): every detector module's impl uses
-// exactly these, so the wire encoding cannot drift between detectors).
+// The little-endian codec. Every detector's impl and the serve crate's
+// model files use exactly these primitives, so the wire encoding cannot
+// drift between them. Generic over the stream so a caller holding a
+// concrete reader or writer keeps monomorphised calls.
 // ---------------------------------------------------------------------
 
-pub(crate) fn write_u8(w: &mut dyn Write, v: u8) -> Result<(), SnapshotError> {
-    w.write_all(&[v])?;
-    Ok(())
+/// Writes one byte.
+pub(crate) fn write_u8<W: Write + ?Sized>(w: &mut W, v: u8) -> io::Result<()> {
+    w.write_all(&[v])
 }
 
-pub(crate) fn write_u64(w: &mut dyn Write, v: u64) -> Result<(), SnapshotError> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
+/// Writes a little-endian `u32`.
+pub fn write_u32<W: Write + ?Sized>(w: &mut W, v: u32) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
 }
 
-pub(crate) fn write_f64(w: &mut dyn Write, v: f64) -> Result<(), SnapshotError> {
-    w.write_all(&v.to_bits().to_le_bytes())?;
-    Ok(())
+/// Writes a little-endian `u64`.
+pub fn write_u64<W: Write + ?Sized>(w: &mut W, v: u64) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
 }
 
-pub(crate) fn write_f64s(w: &mut dyn Write, vs: &[f64]) -> Result<(), SnapshotError> {
+/// Writes an `f64` as its raw IEEE-754 bits, little-endian.
+pub fn write_f64<W: Write + ?Sized>(w: &mut W, v: f64) -> io::Result<()> {
+    w.write_all(&v.to_bits().to_le_bytes())
+}
+
+/// Writes each value with [`write_f64`]; no length prefix.
+pub fn write_f64s<W: Write + ?Sized>(w: &mut W, vs: &[f64]) -> io::Result<()> {
     for &v in vs {
         write_f64(w, v)?;
     }
     Ok(())
 }
 
-/// Writes `rows, cols, data` for a matrix.
-pub(crate) fn write_matrix(w: &mut dyn Write, m: &Matrix) -> Result<(), SnapshotError> {
-    write_u64(w, m.rows() as u64)?;
-    write_u64(w, m.cols() as u64)?;
-    write_f64s(w, m.as_slice())
-}
-
-pub(crate) fn read_u8(r: &mut dyn Read) -> Result<u8, SnapshotError> {
+/// Reads one byte.
+pub fn read_u8<R: Read + ?Sized>(r: &mut R) -> io::Result<u8> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
     Ok(b[0])
 }
 
-pub(crate) fn read_u64(r: &mut dyn Read) -> Result<u64, SnapshotError> {
+/// Reads a little-endian `u32`.
+pub fn read_u32<R: Read + ?Sized>(r: &mut R) -> io::Result<u32> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
+/// Reads a little-endian `u64`.
+pub fn read_u64<R: Read + ?Sized>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
-pub(crate) fn read_f64(r: &mut dyn Read) -> Result<f64, SnapshotError> {
+/// Reads an `f64` written by [`write_f64`], bit for bit.
+pub fn read_f64<R: Read + ?Sized>(r: &mut R) -> io::Result<f64> {
     Ok(f64::from_bits(read_u64(r)?))
+}
+
+/// Reads `n` values written by [`write_f64s`].
+pub fn read_f64s<R: Read + ?Sized>(r: &mut R, n: usize) -> io::Result<Vec<f64>> {
+    // Cap the up-front reservation: `n` comes from an untrusted length
+    // field, and a tiny crafted file must not force a huge allocation
+    // before EOF is discovered. Genuine data grows the vec as it reads.
+    let mut out = Vec::with_capacity(n.min(8192));
+    for _ in 0..n {
+        out.push(read_f64(r)?);
+    }
+    Ok(out)
+}
+
+/// Writes `rows, cols, data` for a matrix.
+pub(crate) fn write_matrix(w: &mut dyn Write, m: &Matrix) -> io::Result<()> {
+    write_u64(w, m.rows() as u64)?;
+    write_u64(w, m.cols() as u64)?;
+    write_f64s(w, m.as_slice())
 }
 
 /// Reads a length field, rejecting anything over `cap` as corruption.
@@ -270,17 +302,6 @@ pub(crate) fn read_len(
         return Err(SnapshotError::Corrupt(what));
     }
     Ok(v as usize)
-}
-
-pub(crate) fn read_f64s(r: &mut dyn Read, n: usize) -> Result<Vec<f64>, SnapshotError> {
-    // Cap the up-front reservation: `n` comes from an untrusted length
-    // field, and a tiny crafted snapshot must not force a huge
-    // allocation before EOF is discovered.
-    let mut out = Vec::with_capacity(n.min(8192));
-    for _ in 0..n {
-        out.push(read_f64(r)?);
-    }
-    Ok(out)
 }
 
 /// Reads a matrix written by [`write_matrix`], capping both dimensions.

@@ -263,6 +263,17 @@ pub fn pack_rhs(k: usize, n: usize, b: &[f64], pack: &mut Vec<f64>) {
     }
 }
 
+/// The strip path this process dispatches to: `"avx512"`, `"avx"` or
+/// `"portable"`, the labels `UADB_GEMM_ISA` accepts and
+/// `uadb_gemm_calls_total` reports.
+pub fn dispatched_isa() -> &'static str {
+    match simd::detect() {
+        simd::Isa::Avx512 => "avx512",
+        simd::Isa::Avx => "avx",
+        simd::Isa::Portable => "portable",
+    }
+}
+
 /// Blocked matrix product `out = a · b` over raw row-major slices.
 ///
 /// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`. `rhs_row_finite(r)` must
@@ -911,6 +922,11 @@ mod tests {
         assert!(after.packs_reused > before.packs_reused);
         let calls = |s: stats::KernelStats| s.calls_avx512 + s.calls_avx + s.calls_portable;
         assert!(calls(after) >= calls(before) + 2, "each gemm call records its ISA path");
+    }
+
+    #[test]
+    fn dispatched_isa_is_a_pin_label() {
+        assert!(["avx512", "avx", "portable"].contains(&dispatched_isa()));
     }
 
     #[test]

@@ -62,7 +62,10 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 use uadb::{CorrectionScale, ScoreCalibration, UadbConfig, UadbModel};
 use uadb_data::preprocess::Standardizer;
-use uadb_detectors::snapshot::{self, SnapshotError};
+use uadb_detectors::snapshot::{
+    self, read_f64, read_f64s, read_u32, read_u64, read_u8, write_f64, write_f64s, write_u32,
+    write_u64, SnapshotError,
+};
 use uadb_linalg::Matrix;
 use uadb_nn::mlp::Activation;
 use uadb_nn::{linear::Linear, Mlp};
@@ -570,34 +573,9 @@ fn read_trailer<R: Read>(r: &mut R) -> Result<(), PersistError> {
     Ok(())
 }
 
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_bits().to_le_bytes())
-}
-
-fn write_f64s<W: Write>(w: &mut W, vs: &[f64]) -> io::Result<()> {
-    for &v in vs {
-        write_f64(w, v)?;
-    }
-    Ok(())
-}
-
 fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     write_u64(w, s.len() as u64)?;
     w.write_all(s.as_bytes())
-}
-
-fn read_u8<R: Read>(r: &mut R) -> Result<u8, PersistError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
 }
 
 fn read_bool<R: Read>(r: &mut R) -> Result<bool, PersistError> {
@@ -608,39 +586,12 @@ fn read_bool<R: Read>(r: &mut R) -> Result<bool, PersistError> {
     }
 }
 
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, PersistError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, PersistError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f64<R: Read>(r: &mut R) -> Result<f64, PersistError> {
-    Ok(f64::from_bits(read_u64(r)?))
-}
-
 fn read_len<R: Read>(r: &mut R, cap: u64, what: &'static str) -> Result<usize, PersistError> {
     let v = read_u64(r)?;
     if v > cap {
         return Err(PersistError::Corrupt(what));
     }
     Ok(v as usize)
-}
-
-fn read_f64s<R: Read>(r: &mut R, n: usize) -> Result<Vec<f64>, PersistError> {
-    // Cap the up-front reservation: `n` comes from an untrusted length
-    // field, and a tiny crafted file must not force a huge allocation
-    // before EOF is discovered. Genuine data grows the vec as it reads.
-    let mut out = Vec::with_capacity(n.min(8192));
-    for _ in 0..n {
-        out.push(read_f64(r)?);
-    }
-    Ok(out)
 }
 
 fn read_str<R: Read>(r: &mut R) -> Result<String, PersistError> {
