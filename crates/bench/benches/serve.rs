@@ -1,20 +1,17 @@
 //! End-to-end serving-plane benchmark: an in-process server driven by
 //! raw-TCP clients, timing full request/response roundtrips across the
-//! wire-format × batch-size × shard-count grid.
+//! wire-format × batch-size grid.
 //!
-//! * `json_rows{R}_shards{S}` / `binary_rows{R}_shards{S}` — one
-//!   keep-alive connection scoring R-row batches as JSON vs the binary
+//! * `json_rows{R}` / `binary_rows{R}` — one keep-alive connection
+//!   scoring R-row batches as JSON vs the binary
 //!   `application/x-uadb-rows` payload. The binary-vs-JSON pair at
 //!   8192 rows is the `bench_gate` invariant: decimal float text must
 //!   never be the fast path again.
-//! * `healthz_shards{S}` — a cheap endpoint hammered by 8 concurrent
-//!   persistent connections, the reactor-sharding scaling case (shard
-//!   counts only separate on multi-core runners).
+//! * `healthz` — a cheap endpoint hammered by 8 concurrent persistent
+//!   connections on the one reactor loop.
 //!
-//! `UADB_BENCH_SHARDS=1,2` pins the shard-count list (default: 1,
-//! min(4, cores), cores, deduplicated). `UADB_BENCH_SMOKE` and
-//! `UADB_BENCH_JSON` work as in `common`; the summary goes to
-//! `<workspace>/BENCH_serve.json` by default.
+//! `UADB_BENCH_SMOKE` and `UADB_BENCH_JSON` work as in `common`; the
+//! summary goes to `<workspace>/BENCH_serve.json` by default.
 
 mod common;
 
@@ -32,22 +29,6 @@ use uadb_serve::json::{self, Value};
 use uadb_serve::model::ServedModel;
 use uadb_serve::pool::PoolConfig;
 use uadb_serve::{ModelRegistry, Server, ServerConfig, ServerHandle};
-
-/// Shard counts to bench: `UADB_BENCH_SHARDS` (comma-separated) or
-/// {1, min(4, cores), cores} deduplicated.
-fn shard_counts() -> Vec<usize> {
-    if let Ok(list) = std::env::var("UADB_BENCH_SHARDS") {
-        return list
-            .split(',')
-            .map(|s| s.trim().parse().expect("UADB_BENCH_SHARDS: comma-separated integers"))
-            .collect();
-    }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut counts = vec![1, cores.min(4), cores];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
 
 /// A batch of `rows` scoring rows cycled out of the fig5 dataset.
 fn batch(x: &Matrix, rows: usize) -> Matrix {
@@ -134,7 +115,7 @@ fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
     BufReader::new(stream)
 }
 
-fn spawn_server(model: &Arc<ServedModel>, shards: usize) -> ServerHandle {
+fn spawn_server(model: &Arc<ServedModel>) -> ServerHandle {
     let registry = Arc::new(ModelRegistry::new(PoolConfig { workers: 2, shard_rows: 1024 }));
     registry.insert("default", Arc::clone(model)).unwrap();
     let config = ServerConfig {
@@ -142,7 +123,6 @@ fn spawn_server(model: &Arc<ServedModel>, shards: usize) -> ServerHandle {
         max_requests_per_conn: 1_000_000,
         idle_timeout: Duration::from_secs(60),
         io_timeout: Duration::from_secs(30),
-        shards,
     };
     Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap()
 }
@@ -164,51 +144,45 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("serve");
     g.sample_size(sample_size);
-    for shards in shard_counts() {
-        let handle = spawn_server(&model, shards);
-        let addr = handle.addr();
+    let handle = spawn_server(&model);
+    let addr = handle.addr();
 
-        for (rows, batch) in &batches {
-            let json_wire = json_request(batch);
-            let binary_wire = binary_request(batch);
-            let mut conn = connect(addr);
-            // Warm each path once so the timed region is steady state.
-            roundtrip(&mut conn, &json_wire);
-            roundtrip(&mut conn, &binary_wire);
-            g.bench_function(format!("json_rows{rows}_shards{shards}"), |bch| {
-                bch.iter(|| black_box(roundtrip(&mut conn, &json_wire)))
-            });
-            g.bench_function(format!("binary_rows{rows}_shards{shards}"), |bch| {
-                bch.iter(|| black_box(roundtrip(&mut conn, &binary_wire)))
-            });
-        }
-
-        // The shard-scaling case: 8 persistent connections issue 16
-        // cheap roundtrips each per sample. On a multi-core runner the
-        // kernel spreads them over the shards' REUSEPORT listeners.
-        let mut conns: Vec<BufReader<TcpStream>> =
-            (0..HEALTHZ_CONNS).map(|_| connect(addr)).collect();
-        for conn in &mut conns {
-            roundtrip(conn, HEALTHZ);
-        }
-        g.bench_function(format!("healthz_shards{shards}"), |bch| {
-            bch.iter(|| {
-                std::thread::scope(|s| {
-                    for conn in conns.iter_mut() {
-                        s.spawn(move || {
-                            for _ in 0..HEALTHZ_REQS {
-                                roundtrip(conn, HEALTHZ);
-                            }
-                        });
-                    }
-                });
-                black_box(HEALTHZ_CONNS * HEALTHZ_REQS)
-            })
+    for (rows, batch) in &batches {
+        let json_wire = json_request(batch);
+        let binary_wire = binary_request(batch);
+        let mut conn = connect(addr);
+        // Warm each path once so the timed region is steady state.
+        roundtrip(&mut conn, &json_wire);
+        roundtrip(&mut conn, &binary_wire);
+        g.bench_function(format!("json_rows{rows}"), |bch| {
+            bch.iter(|| black_box(roundtrip(&mut conn, &json_wire)))
         });
-
-        drop(conns);
-        handle.shutdown();
+        g.bench_function(format!("binary_rows{rows}"), |bch| {
+            bch.iter(|| black_box(roundtrip(&mut conn, &binary_wire)))
+        });
     }
+
+    let mut conns: Vec<BufReader<TcpStream>> = (0..HEALTHZ_CONNS).map(|_| connect(addr)).collect();
+    for conn in &mut conns {
+        roundtrip(conn, HEALTHZ);
+    }
+    g.bench_function("healthz", |bch| {
+        bch.iter(|| {
+            std::thread::scope(|s| {
+                for conn in conns.iter_mut() {
+                    s.spawn(move || {
+                        for _ in 0..HEALTHZ_REQS {
+                            roundtrip(conn, HEALTHZ);
+                        }
+                    });
+                }
+            });
+            black_box(HEALTHZ_CONNS * HEALTHZ_REQS)
+        })
+    });
+
+    drop(conns);
+    handle.shutdown();
     g.finish();
 }
 

@@ -91,11 +91,9 @@ const INVARIANTS: &[(&str, &str, f64)] = &[
     ("relu_into_256x128x128", "dense_into_256x128x128", 1.0),
     ("scratch_8192x32", "alloc_8192x32", 1.1),
     // Serving plane (BENCH_serve.json): at the 8192-row batch the binary
-    // wire format must beat JSON regardless of shard count — parsing
-    // decimal float text must never be the fast path again.
-    ("binary_rows8192_shards1", "json_rows8192_shards1", 1.0),
-    ("binary_rows8192_shards2", "json_rows8192_shards2", 1.0),
-    ("binary_rows8192_shards4", "json_rows8192_shards4", 1.0),
+    // wire format must beat JSON — parsing decimal float text must never
+    // be the fast path again.
+    ("binary_rows8192", "json_rows8192", 1.0),
     // Training plane (BENCH_train.json): the zero-allocation scratch
     // engine must never lose to the reconstructed legacy loop at the
     // paper's batch 256, nor at a fold member's batch 31, where the
@@ -112,11 +110,7 @@ const INVARIANTS: &[(&str, &str, f64)] = &[
 /// against the checked-in reference emission (`--reference`). The
 /// binary-scoring path carries the drift-sketch instrumentation, so a
 /// sketch record that allocates or locks shows up here first.
-const REFERENCE_INVARIANTS: &[(&str, f64)] = &[
-    ("binary_rows8192_shards1", 1.05),
-    ("binary_rows8192_shards2", 1.05),
-    ("binary_rows8192_shards4", 1.05),
-];
+const REFERENCE_INVARIANTS: &[(&str, f64)] = &[("binary_rows8192", 1.05)];
 
 fn main() {
     let mut candidate_path = String::from("BENCH_matmul.json");

@@ -1,9 +1,10 @@
 //! The `uadb-serve` command line: `train`, `score`, `serve`.
 //!
 //! Argument parsing is hand-rolled (`--flag value` pairs only) to stay
-//! dependency-free; every subcommand funnels into the library API, so
-//! the binary is a thin shell over [`crate::model`], [`crate::persist`]
-//! and [`crate::http`].
+//! dependency-free. Each subcommand declares its flags, and any other
+//! flag is an error, so a typo is never silently ignored. Every
+//! subcommand funnels into the library API, so the binary is a thin
+//! shell over [`crate::model`], [`crate::persist`] and [`crate::http`].
 
 use crate::http::{Server, ServerConfig};
 use crate::json;
@@ -36,7 +37,6 @@ USAGE:
   uadb-serve serve --model [NAME=]FILE[,TEACHER_FILE] [--model ...] [--default NAME]
                    [--addr HOST:PORT] [--workers N] [--shard-rows N]
                    [--max-conns N] [--max-requests N] [--idle-timeout-ms N]
-                   [--shards N]
                    [--log-level error|warn|info|debug]
                    [--log-json] [--slow-ms N] [--drift-warn-psi T]
   uadb-serve info  --model FILE
@@ -64,12 +64,11 @@ SUBCOMMANDS:
           (--default NAME overrides; otherwise the first --model). Every
           model scores on one process-wide set of --workers threads
           (default: one per core), in shards of at most --shard-rows rows.
-          Connections are driven by N sharded epoll event loops, so
-          --max-conns can grow past thread counts; --shards N sets N
-          (default: min(cores, scoring workers)). POST /score also
-          accepts the binary row payload (Content-Type:
-          application/x-uadb-rows; see README wire-protocol spec) and
-          answers with raw little-endian scores. Endpoints:
+          Connections are driven by one epoll event loop, so --max-conns
+          can grow past thread counts. POST /score also accepts the
+          binary row payload (Content-Type: application/x-uadb-rows; see
+          README wire-protocol spec) and answers with raw little-endian
+          scores. Endpoints:
           POST /score[/NAME][?variant=...], GET /model[/NAME],
           GET /models, POST /admin/reload/NAME,
           POST|DELETE /admin/teacher/NAME (attach/detach a teacher
@@ -130,15 +129,57 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         println!("{USAGE}");
         return Ok(());
     }
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "train" => train(&flags),
-        "score" => score(&flags),
-        "serve" => serve(&flags),
-        "info" => info(&flags),
-        other => Err(err(format!("unknown subcommand `{other}`"))),
-    }
+    let (_, run, declared) = COMMANDS
+        .iter()
+        .find(|(name, ..)| name == cmd)
+        .ok_or_else(|| err(format!("unknown subcommand `{cmd}`")))?;
+    run(&Flags::parse(cmd, declared, rest)?)
 }
+
+/// A subcommand's entry point.
+type Subcommand = fn(&Flags) -> Result<(), CliError>;
+
+/// Every subcommand, with the flags it declares; any other flag is an
+/// error.
+const COMMANDS: &[(&str, Subcommand, &[&str])] = &[
+    (
+        "train",
+        train,
+        &[
+            "out",
+            "save-teacher",
+            "dataset",
+            "synthetic",
+            "csv",
+            "label-last",
+            "teacher",
+            "seed",
+            "steps",
+            "scale",
+            "train-workers",
+        ],
+    ),
+    ("score", score, &["model", "csv", "json", "label-last", "out"]),
+    (
+        "serve",
+        serve,
+        &[
+            "model",
+            "default",
+            "addr",
+            "workers",
+            "shard-rows",
+            "max-conns",
+            "max-requests",
+            "idle-timeout-ms",
+            "log-level",
+            "log-json",
+            "slow-ms",
+            "drift-warn-psi",
+        ],
+    ),
+    ("info", info, &["model"]),
+];
 
 /// `--name value` flag pairs.
 struct Flags {
@@ -146,13 +187,17 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, CliError> {
+    /// Parses `cmd`'s arguments, refusing any flag not in `declared`.
+    fn parse(cmd: &str, declared: &[&str], args: &[String]) -> Result<Self, CliError> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(name) = it.next() {
             let name = name
                 .strip_prefix("--")
                 .ok_or_else(|| err(format!("expected --flag, got `{name}`")))?;
+            if !declared.contains(&name) {
+                return Err(err(format!("unknown flag --{name} for `{cmd}`")));
+            }
             // Boolean flags take no value.
             if name == "label-last" || name == "log-json" {
                 pairs.push((name.to_string(), "true".to_string()));
@@ -377,18 +422,6 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         .map_err(|_| err(format!("--default {default_name} does not name a --model")))?;
 
     let defaults = ServerConfig::default();
-    // `--shards 0` (the default) auto-sizes to min(cores, scoring
-    // workers): more reactor loops than cores just contend, and more
-    // than scoring workers cannot be fed. Explicit values are taken
-    // as-is.
-    let shards = match flags.parse_num("shards", 0usize)? {
-        0 => {
-            let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            let workers = if pool_cfg.workers == 0 { cores } else { pool_cfg.workers };
-            cores.min(workers).max(1)
-        }
-        n => n,
-    };
     let server_cfg = ServerConfig {
         max_connections: flags.parse_num("max-conns", defaults.max_connections)?,
         max_requests_per_conn: flags.parse_num("max-requests", defaults.max_requests_per_conn)?,
@@ -396,7 +429,6 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
             flags.parse_num("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?,
         ),
         io_timeout: defaults.io_timeout,
-        shards,
     };
     if server_cfg.max_connections == 0 || server_cfg.max_requests_per_conn == 0 {
         return Err(err("--max-conns and --max-requests must be at least 1"));
@@ -432,7 +464,7 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     let server = Server::bind(addr, Arc::clone(&registry), server_cfg)
         .map_err(|e| err(format!("binding {addr}: {e}")))?;
     println!(
-        "serving {} model(s) [default: {default_name}] on http://{} (epoll, {shards} shard(s))",
+        "serving {} model(s) [default: {default_name}] on http://{} (epoll)",
         registry.len(),
         server.local_addr().map_err(|e| err(e.to_string()))?,
     );
@@ -464,13 +496,19 @@ fn info(flags: &Flags) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parses `args` as the flags of subcommand `cmd`.
+    fn flags(cmd: &str, args: &[&str]) -> Result<Flags, CliError> {
+        let (_, _, declared) = COMMANDS.iter().find(|(name, ..)| *name == cmd).unwrap();
+        Flags::parse(cmd, declared, &strings(args))
+    }
+
     #[test]
     fn flags_parse_pairs_and_booleans() {
-        let args: Vec<String> = ["--out", "m.uadb", "--label-last", "--seed", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = Flags::parse(&args).unwrap();
+        let f = flags("train", &["--out", "m.uadb", "--label-last", "--seed", "7"]).unwrap();
         assert_eq!(f.get("out"), Some("m.uadb"));
         assert_eq!(f.get("label-last"), Some("true"));
         assert_eq!(f.parse_num("seed", 0u64).unwrap(), 7);
@@ -480,10 +518,24 @@ mod tests {
 
     #[test]
     fn flags_reject_malformed_input() {
-        let bad: Vec<String> = vec!["out".into()];
-        assert!(Flags::parse(&bad).is_err());
-        let dangling: Vec<String> = vec!["--out".into()];
-        assert!(Flags::parse(&dangling).is_err());
+        assert!(flags("train", &["out"]).is_err());
+        assert!(flags("train", &["--out"]).is_err());
+    }
+
+    #[test]
+    fn undeclared_flags_are_errors_naming_flag_and_subcommand() {
+        // `--step` is a typo of `train --steps`: it used to train a
+        // model at the default step count and exit 0.
+        let e = dispatch(&strings(&["train", "--synthetic", "local", "--step", "1"])).unwrap_err();
+        assert!(e.0.contains("--step") && e.0.contains("`train`"), "message: {}", e.0);
+        assert_eq!(run(&strings(&["train", "--synthetic", "local", "--step", "1"])), 1);
+        // The reactor-loop count is no longer a setting.
+        let e = dispatch(&strings(&["serve", "--model", "m.uadb", "--shards", "2"])).unwrap_err();
+        assert!(e.0.contains("--shards") && e.0.contains("`serve`"), "message: {}", e.0);
+        let e = dispatch(&strings(&["info", "--model", "m.uadb", "--bogus", "1"])).unwrap_err();
+        assert!(e.0.contains("--bogus") && e.0.contains("`info`"), "message: {}", e.0);
+        // A flag declared by another subcommand is still foreign here.
+        assert!(flags("info", &["--out", "x"]).err().unwrap().0.contains("--out"));
     }
 
     #[test]
@@ -506,23 +558,20 @@ mod tests {
         assert!(parse_model_flag("a=").is_err());
         assert!(parse_model_flag("a=x.uadb,").is_err());
         assert!(parse_model_flag(",t.uadb").is_err());
-        let args: Vec<String> =
-            ["--model", "a=1.uadb", "--model", "b=2.uadb"].iter().map(|s| s.to_string()).collect();
-        let f = Flags::parse(&args).unwrap();
+        let f = flags("serve", &["--model", "a=1.uadb", "--model", "b=2.uadb"]).unwrap();
         assert_eq!(f.get_all("model"), vec!["a=1.uadb", "b=2.uadb"]);
         assert_eq!(f.get_all("nope"), Vec::<&str>::new());
     }
 
     #[test]
     fn serve_flag_validation() {
-        let none = Flags::parse(&[]).unwrap();
+        let none = flags("serve", &[]).unwrap();
         assert!(serve(&none).unwrap_err().0.contains("--model"));
-        let dup: Vec<String> =
-            ["--model", "a=x.uadb", "--model", "a=y.uadb"].iter().map(|s| s.to_string()).collect();
+        let dup = flags("serve", &["--model", "a=x.uadb", "--model", "a=y.uadb"]).unwrap();
         // Duplicate names fail before any file I/O only if the first
         // load succeeds, so here the missing file errors first; both are
         // rejections either way.
-        assert!(serve(&Flags::parse(&dup).unwrap()).is_err());
+        assert!(serve(&dup).is_err());
     }
 
     #[test]
@@ -554,12 +603,9 @@ mod tests {
 
         // Piggy-back on the saved file: `serve` must reject a
         // non-positive PSI warn threshold after loading the model.
-        let args: Vec<String> =
-            ["--model", &format!("infotest={}", path.display()), "--drift-warn-psi", "0"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let e = serve(&Flags::parse(&args).unwrap()).unwrap_err();
+        let model = format!("infotest={}", path.display());
+        let f = flags("serve", &["--model", &model, "--drift-warn-psi", "0"]).unwrap();
+        let e = serve(&f).unwrap_err();
         assert!(e.0.contains("--drift-warn-psi"), "message: {}", e.0);
 
         std::fs::remove_file(&path).unwrap();
@@ -567,32 +613,25 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_unknown_subcommand() {
-        let args: Vec<String> = vec!["frobnicate".into()];
-        assert!(dispatch(&args).is_err());
+        let e = dispatch(&strings(&["frobnicate", "--model", "m.uadb"])).unwrap_err();
+        assert!(e.0.contains("frobnicate"), "message: {}", e.0);
         assert!(dispatch(&[]).is_err());
     }
 
     #[test]
     fn train_source_validation() {
-        let both: Vec<String> = ["--dataset", "12_glass", "--synthetic", "local"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = Flags::parse(&both).unwrap();
-        assert!(load_training_data(&f).is_err());
-        let none = Flags::parse(&[]).unwrap();
+        let both = flags("train", &["--dataset", "12_glass", "--synthetic", "local"]).unwrap();
+        assert!(load_training_data(&both).is_err());
+        let none = flags("train", &[]).unwrap();
         assert!(load_training_data(&none).is_err());
-        let unknown: Vec<String> = ["--dataset", "nope"].iter().map(|s| s.to_string()).collect();
-        assert!(load_training_data(&Flags::parse(&unknown).unwrap()).is_err());
+        let unknown = flags("train", &["--dataset", "nope"]).unwrap();
+        assert!(load_training_data(&unknown).is_err());
     }
 
     #[test]
     fn zero_steps_is_rejected() {
-        let args: Vec<String> =
-            ["train", "--synthetic", "local", "--steps", "0", "--out", "/dev/null"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+        let args =
+            strings(&["train", "--synthetic", "local", "--steps", "0", "--out", "/dev/null"]);
         let e = dispatch(&args).unwrap_err();
         assert!(e.0.contains("--steps"), "message: {}", e.0);
     }
@@ -609,7 +648,7 @@ mod tests {
             text.push_str(&format!("{},{b},{}\n", i as f64 * 0.5, (i * 3) % 11));
         }
         std::fs::write(&csv, text).unwrap();
-        let args: Vec<String> = [
+        let args = strings(&[
             "train",
             "--csv",
             csv.to_str().unwrap(),
@@ -617,10 +656,7 @@ mod tests {
             "2",
             "--out",
             out.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        ]);
         let e = dispatch(&args).unwrap_err();
         assert!(e.0.contains("row 2 has a non-finite feature"), "message: {}", e.0);
         assert_eq!(run(&args), 1);
@@ -631,8 +667,7 @@ mod tests {
     #[test]
     fn synthetic_types_parse() {
         for ty in ["local", "global", "clustered", "dependency"] {
-            let args: Vec<String> = ["--synthetic", ty].iter().map(|s| s.to_string()).collect();
-            let d = load_training_data(&Flags::parse(&args).unwrap()).unwrap();
+            let d = load_training_data(&flags("train", &["--synthetic", ty]).unwrap()).unwrap();
             assert!(d.n_samples() > 0);
         }
     }

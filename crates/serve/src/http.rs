@@ -42,15 +42,12 @@
 //! — no sockets, no blocking, no timeouts. Routing ([`route`]) maps a
 //! parsed request to either a finished [`Response`] or a [`ScoreTask`],
 //! which is submitted to the scoring pool with a completion callback.
-//! Everything socket-shaped lives in `crate::reactor`: N independent
-//! edge-triggered epoll shard loops (`ServerConfig::shards`), each
-//! owning its accepted sockets, slab, timer wheel and wakeup pipe. With
-//! `SO_REUSEPORT` every shard gets its own listener on the shared
-//! address and the kernel load-balances accepts; without it, shard 0
-//! accepts and hands connections off round-robin over the other shards'
-//! wake pipes. Connection budgets are not bounded by how many threads
-//! the host tolerates. Off Linux there is no epoll, and
-//! [`Server::bind`] fails with [`io::ErrorKind::Unsupported`].
+//! Everything socket-shaped lives in `crate::reactor`: one
+//! edge-triggered epoll loop that owns the listener, every accepted
+//! socket, a slab, a timer wheel and a wakeup pipe. Connection budgets
+//! are not bounded by how many threads the host tolerates. Off Linux
+//! there is no epoll, and [`Server::bind`] fails with
+//! [`io::ErrorKind::Unsupported`].
 //!
 //! Connection model: HTTP/1.1 keep-alive semantics — `Connection:
 //! close` / `keep-alive` honoured per protocol version, a cap on
@@ -59,7 +56,9 @@
 //! readable burst serialized into one write buffer and flushed at once.
 //! The number of concurrent connections is bounded
 //! ([`ServerConfig::max_connections`]); over-budget clients get an
-//! immediate `503` with `Connection: close`. Request heads and bodies
+//! immediate `503` with `Connection: close`, and the server reads and
+//! discards their request until their EOF, for at most a second, so the
+//! close cannot reset the `503` away. Request heads and bodies
 //! are size-capped before any allocation happens, and the CPU-heavy
 //! scoring itself runs on the registry's one fixed set of scoring
 //! threads, so the I/O layer stays I/O-bound.
@@ -108,12 +107,6 @@ pub struct ServerConfig {
     /// a stalled or silent client frees its resources instead of
     /// pinning them.
     pub io_timeout: Duration,
-    /// Epoll reactor shards: independent event loops, each with its own
-    /// epoll instance, accept path (`SO_REUSEPORT` when available) and
-    /// timer wheel, all sharing the connection budget and the scoring
-    /// threads. `0`/`1` means one loop. The CLI defaults this to
-    /// `min(cores, workers)`.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -123,18 +116,17 @@ impl Default for ServerConfig {
             max_requests_per_conn: 1000,
             idle_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
-            shards: 1,
         }
     }
 }
 
-/// Cooperative stop flag with registered wakers: each reactor shard
-/// checks the flag at the top of its loop and registers a closure that
-/// writes its own wakeup pipe, so a shutdown interrupts every shard's
-/// `epoll_wait` immediately.
+/// Cooperative stop flag with a registered waker: the reactor checks
+/// the flag at the top of its loop and registers a closure that writes
+/// its wakeup pipe, so a shutdown interrupts its `epoll_wait`
+/// immediately.
 pub struct StopSignal {
     flag: AtomicBool,
-    wakers: Mutex<Vec<Box<dyn Fn() + Send>>>,
+    waker: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl Default for StopSignal {
@@ -146,7 +138,7 @@ impl Default for StopSignal {
 impl StopSignal {
     /// A fresh, un-triggered signal.
     pub fn new() -> Self {
-        Self { flag: AtomicBool::new(false), wakers: Mutex::new(Vec::new()) }
+        Self { flag: AtomicBool::new(false), waker: Mutex::new(None) }
     }
 
     /// Whether the server should wind down.
@@ -154,19 +146,18 @@ impl StopSignal {
         self.flag.load(Ordering::SeqCst)
     }
 
-    /// Requests shutdown and pokes every registered waker.
+    /// Requests shutdown and pokes the registered waker, if any.
     pub fn trigger(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        for waker in &*self.wakers.lock().unwrap_or_else(|e| e.into_inner()) {
+        if let Some(waker) = &*self.waker.lock().unwrap_or_else(|e| e.into_inner()) {
             waker();
         }
     }
 
-    /// Registers a closure `trigger` calls to interrupt a blocked
-    /// reactor shard (by writing its wakeup pipe). Every registered
-    /// waker fires; shards each register their own.
-    pub fn add_waker(&self, waker: Box<dyn Fn() + Send>) {
-        self.wakers.lock().unwrap_or_else(|e| e.into_inner()).push(waker);
+    /// Registers the closure `trigger` calls to interrupt the blocked
+    /// reactor (by writing its wakeup pipe), replacing any earlier one.
+    pub fn set_waker(&self, waker: Box<dyn Fn() + Send>) {
+        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = Some(waker);
     }
 }
 
@@ -174,18 +165,12 @@ impl StopSignal {
 /// them) and the router (which reports them on `GET /healthz`).
 pub struct ServerStats {
     max_connections: usize,
-    shards: usize,
     open: AtomicUsize,
 }
 
 impl ServerStats {
-    fn new(max_connections: usize, shards: usize) -> Self {
-        Self { max_connections, shards, open: AtomicUsize::new(0) }
-    }
-
-    /// Reactor shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
+    fn new(max_connections: usize) -> Self {
+        Self { max_connections, open: AtomicUsize::new(0) }
     }
 
     /// Currently open client connections.
@@ -215,9 +200,8 @@ impl ServerStats {
     }
 }
 
-/// Everything a reactor shard needs to serve: the routing registry,
-/// tuning, shared stats, and the stop signal.
-#[derive(Clone)]
+/// Everything the reactor needs to serve: the routing registry, tuning,
+/// shared stats, and the stop signal.
 pub(crate) struct ServeCtx {
     /// Models to route over.
     pub(crate) registry: Arc<ModelRegistry>,
@@ -229,11 +213,9 @@ pub(crate) struct ServeCtx {
     pub(crate) stop: Arc<StopSignal>,
 }
 
-/// A bound scoring server (not yet accepting). `listeners[0]` is the
-/// primary socket; extra listeners (one per additional reactor shard)
-/// exist only when the whole group could be bound with `SO_REUSEPORT`.
+/// A bound scoring server (not yet accepting).
 pub struct Server {
-    listeners: Vec<TcpListener>,
+    listener: TcpListener,
     registry: Arc<ModelRegistry>,
     cfg: ServerConfig,
 }
@@ -248,24 +230,15 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds the listener(s) over a model registry.
-    ///
-    /// A multi-shard config tries to bind one `SO_REUSEPORT` listener
-    /// per shard so the kernel load-balances accepts across the shard
-    /// loops. Every socket in the group — including the first — must
-    /// set the option *before* bind, which is why the primary goes
-    /// through the raw-socket helper too. If the option is unavailable
-    /// (or any bind in the group fails), serving falls back to a single
-    /// listener; shard 0 then hands accepted connections off
-    /// round-robin. Off Linux this fails with
-    /// [`io::ErrorKind::Unsupported`]: the server runs on epoll.
+    /// Binds the listener over a model registry. Off Linux this fails
+    /// with [`io::ErrorKind::Unsupported`]: the server runs on epoll.
     pub fn bind(
         addr: impl ToSocketAddrs,
         registry: Arc<ModelRegistry>,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
-        let listeners = bind_listeners(addr, cfg.shards)?;
-        Ok(Server { listeners, registry, cfg })
+        let listener = bind_listener(addr)?;
+        Ok(Server { listener, registry, cfg })
     }
 
     /// Convenience: binds a single-model server, registering `model`
@@ -282,7 +255,7 @@ impl Server {
 
     /// The bound address (useful after binding port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listeners[0].local_addr()
+        self.listener.local_addr()
     }
 
     /// The registry this server routes over.
@@ -290,34 +263,33 @@ impl Server {
         &self.registry
     }
 
-    fn into_parts(self) -> (Vec<TcpListener>, ServeCtx) {
-        let shards = self.cfg.shards.max(1);
+    fn into_parts(self) -> (TcpListener, ServeCtx) {
         let ctx = ServeCtx {
-            stats: Arc::new(ServerStats::new(self.cfg.max_connections, shards)),
+            stats: Arc::new(ServerStats::new(self.cfg.max_connections)),
             registry: self.registry,
             cfg: self.cfg,
             stop: Arc::new(StopSignal::new()),
         };
-        (self.listeners, ctx)
+        (self.listener, ctx)
     }
 
     /// Serves on the calling thread until the listener dies.
     pub fn run(self) -> io::Result<()> {
-        let (listeners, ctx) = self.into_parts();
-        run_reactor(listeners, ctx)
+        let (listener, ctx) = self.into_parts();
+        run_reactor(listener, ctx)
     }
 
     /// Runs the reactor on a background thread and returns a handle
     /// that can stop it.
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let (listeners, ctx) = self.into_parts();
+        let (listener, ctx) = self.into_parts();
         let registry = Arc::clone(&ctx.registry);
         let stop = Arc::clone(&ctx.stop);
         let stats = Arc::clone(&ctx.stats);
         let thread =
             std::thread::Builder::new().name("uadb-serve-io".to_string()).spawn(move || {
-                if let Err(e) = run_reactor(listeners, ctx) {
+                if let Err(e) = run_reactor(listener, ctx) {
                     let err = e.to_string();
                     logger().log(Level::Error, "http", "reactor failed", &[("error", &err)]);
                 }
@@ -343,8 +315,8 @@ impl ServerHandle {
     }
 
     /// Stops the reactor and joins the server thread. The stop signal
-    /// writes every shard's wakeup pipe, so each shard tears down on
-    /// its next loop turn.
+    /// writes the reactor's wakeup pipe, so it tears down on its next
+    /// loop turn.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -363,18 +335,9 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds the listener group: one `SO_REUSEPORT` listener per shard when
-/// the whole group binds (`UADB_SERVE_NO_REUSEPORT` forces the
-/// fallback, for tests), else a single std listener.
 #[cfg(target_os = "linux")]
-fn bind_listeners(addr: impl ToSocketAddrs, shards: usize) -> io::Result<Vec<TcpListener>> {
-    if shards > 1 && std::env::var_os("UADB_SERVE_NO_REUSEPORT").is_none() {
-        let group = bind_reuseport_group(&addr, shards);
-        if !group.is_empty() {
-            return Ok(group);
-        }
-    }
-    Ok(vec![TcpListener::bind(addr)?])
+fn bind_listener(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
+    TcpListener::bind(addr)
 }
 
 /// Off Linux there is no epoll, so there is no server: binding fails,
@@ -388,37 +351,13 @@ fn no_epoll() -> io::Error {
 }
 
 #[cfg(not(target_os = "linux"))]
-fn bind_listeners(_addr: impl ToSocketAddrs, _shards: usize) -> io::Result<Vec<TcpListener>> {
+fn bind_listener(_addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
     Err(no_epoll())
 }
 
 #[cfg(not(target_os = "linux"))]
-fn run_reactor(_listeners: Vec<TcpListener>, _ctx: ServeCtx) -> io::Result<()> {
+fn run_reactor(_listener: TcpListener, _ctx: ServeCtx) -> io::Result<()> {
     Err(no_epoll())
-}
-
-/// Binds `shards` `SO_REUSEPORT` listeners to one address, or an empty
-/// vec if the group cannot be completed (caller falls back to a single
-/// std listener + round-robin handoff). All-or-nothing: a partial group
-/// would silently skew the kernel's accept distribution.
-#[cfg(target_os = "linux")]
-fn bind_reuseport_group(addr: &impl ToSocketAddrs, shards: usize) -> Vec<TcpListener> {
-    let Ok(addrs) = addr.to_socket_addrs() else { return Vec::new() };
-    for candidate in addrs {
-        let Ok(primary) = crate::reactor::bind_reuseport(candidate) else { continue };
-        // Port 0 resolved at the first bind; the rest of the group
-        // must join the *concrete* port.
-        let Ok(concrete) = primary.local_addr() else { continue };
-        let mut group = vec![primary];
-        for _ in 1..shards {
-            match crate::reactor::bind_reuseport(concrete) {
-                Ok(l) => group.push(l),
-                Err(_) => return Vec::new(),
-            }
-        }
-        return group;
-    }
-    Vec::new()
 }
 
 // ======================== sans-io wire layer ==========================
@@ -1146,7 +1085,6 @@ fn healthz(ctx: &RouteCtx) -> Response {
             ("models", Value::Number(ctx.registry.len() as f64)),
             ("default", ctx.registry.default_name().map(Value::String).unwrap_or(Value::Null)),
             ("backend", Value::String("epoll".to_string())),
-            ("shards", Value::Number(ctx.stats.shards() as f64)),
             ("open_connections", Value::Number(ctx.stats.open_connections() as f64)),
             ("max_connections", Value::Number(ctx.stats.max_connections() as f64)),
             ("requests", Value::Object(requests)),

@@ -24,9 +24,9 @@
 //!    `train`/`score`/`serve`/`info` subcommands to the existing
 //!    teachers and datasets. Request parsing and response
 //!    serialization are **sans-io** functions over byte buffers,
-//!    driven by the `reactor`: N sharded **epoll** readiness loops
-//!    that own every client socket, so the connection budget scales
-//!    past thread counts. The server is Linux-only; elsewhere
+//!    driven by the `reactor`: one **epoll** readiness loop that owns
+//!    every client socket, so the connection budget scales past thread
+//!    counts. The server is Linux-only; elsewhere
 //!    [`http::Server::bind`] returns [`std::io::ErrorKind::Unsupported`].
 //! 4. **Multi-model routing** — [`registry::ModelRegistry`] holds N
 //!    named models behind one port, all scored on one worker set, with
@@ -100,4 +100,4 @@ pub use persist::{
 };
 pub use pool::{PoolConfig, ScoreCallback, ScoreTiming, ScoringPool};
 pub use registry::{ModelRegistry, RegistryError};
-pub use telemetry::{metrics, RequestTimer, ServeMetrics, ShardStats, Stage};
+pub use telemetry::{metrics, RequestTimer, ServeMetrics, Stage};

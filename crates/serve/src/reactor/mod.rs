@@ -1,19 +1,15 @@
-//! The server's connection layer: N epoll reactor shards, each owning a
-//! slice of the client sockets (Linux only).
+//! The server's connection layer: one epoll reactor loop that owns
+//! every client socket (Linux only).
 //!
 //! A connection costs a [`Conn`] struct and byte buffers, not a thread,
 //! so the connection budget is not capped by how many mostly-idle
 //! threads the host tolerates. The shape is the classic reactor:
 //!
-//! * **One loop per shard, all sockets sharded.** `--shards N` runs N
-//!   independent epoll loops ([`sys::Epoll`], raw `extern "C"`
-//!   bindings — no new dependencies), each with its own slab, timer
-//!   wheel and wakeup pipe, all submitting to the registry's one set
-//!   of scoring threads. Shards normally each own a `SO_REUSEPORT`
-//!   listener so the kernel spreads accepts; when that bind fails,
-//!   shard 0 owns the sole listener and hands accepted sockets to its
-//!   siblings round-robin over their wakeup pipes. Budgets of
-//!   thousands of connections are routine.
+//! * **One loop.** [`run`] drives one epoll instance ([`sys::Epoll`],
+//!   raw `extern "C"` bindings — no new dependencies) on the calling
+//!   thread, with one std listener, one slab, one timer wheel and one
+//!   wakeup pipe, submitting to the registry's one set of scoring
+//!   threads. Budgets of thousands of connections are routine.
 //! * **Edge-triggered sockets.** Connections register with `EPOLLET`
 //!   and every read/write loop drains to `EAGAIN`, so the kernel
 //!   reports each readiness transition once instead of re-reporting
@@ -27,39 +23,39 @@
 //!   `writev` — a pipelined burst of K responses costs O(1) syscalls.
 //! * **Scoring never blocks the loop.** A scoring request is submitted
 //!   to the model's [`crate::pool::ScoringPool`] with a completion
-//!   callback that pushes the finished response onto the shard's queue
+//!   callback that pushes the finished response onto the loop's queue
 //!   and writes its **wakeup pipe**; the loop drains completions on
 //!   wakeup. While a connection waits for its score, its read interest
 //!   is dropped — natural backpressure that also bounds buffer growth.
-//! * **Timer wheel.** Idle and mid-request deadlines live in a
-//!   per-shard hashed wheel ([`timer::TimerWheel`]) with lazy
-//!   cancellation: O(1) arming per request, one live entry per
-//!   connection, coarse-grained sweeps. Idle connections close
-//!   silently; a request stalled mid-transfer (slow-loris) gets a
-//!   best-effort `408`.
-//! * **Shutdown via the same pipes.** Every shard registers a stop
-//!   waker that writes its wakeup pipe, and checks the stop flag at the
-//!   top of its loop, so a stop lands whether it comes before or during
-//!   `epoll_wait` and the loops tear down.
-//!
-//! The `503` connection budget is global across shards.
+//! * **Timer wheel.** Idle and mid-request deadlines live in a hashed
+//!   wheel ([`timer::TimerWheel`]) with lazy cancellation: O(1) arming
+//!   per request, one live entry per connection, coarse-grained sweeps.
+//!   Idle connections close silently; a request stalled mid-transfer
+//!   (slow-loris) gets a best-effort `408`.
+//! * **Over-budget clients linger.** A client past the `503` budget
+//!   gets the `503`, a write shutdown, and up to [`LINGER_TIMEOUT`] of
+//!   discarded reads before the close, so request bytes still in
+//!   flight cannot turn the FIN into a reset that destroys the `503`.
+//!   At most [`MAX_LINGER`] sockets linger; they hold no budget slot.
+//! * **Shutdown via the same pipe.** The loop registers a stop waker
+//!   that writes its wakeup pipe, and checks the stop flag at the top
+//!   of each turn, so a stop lands whether it comes before or during
+//!   `epoll_wait`.
 
 mod sys;
 mod timer;
-
-pub(crate) use sys::bind_reuseport;
 
 use crate::http::{
     over_budget_response, parse_request, route, stalled_response, truncated_response, Parse,
     Response, RouteCtx, Routed, ServeCtx, MAX_ACCEPT_FAILURES,
 };
-use crate::telemetry::{metrics, RequestTimer, ShardStats, Stage};
+use crate::telemetry::{metrics, RequestTimer, Stage};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use sys::{
     Epoll, EpollEvent, WakePipe, WakeWriter, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT,
     EPOLLRDHUP,
@@ -78,6 +74,12 @@ const EVENT_BATCH: usize = 1024;
 /// I/O. The listener is level-triggered: the remainder of the backlog
 /// re-reports on the next `epoll_wait`.
 const ACCEPT_BURST: usize = 64;
+/// Over-budget sockets lingering at once; past this, a rejected socket
+/// closes right after its `503`.
+const MAX_LINGER: usize = ACCEPT_BURST;
+/// How long an over-budget socket may linger, discarding reads, before
+/// it closes whether or not the peer has sent its EOF.
+const LINGER_TIMEOUT: Duration = Duration::from_secs(1);
 /// Queued response chunks gathered into one `writev` call.
 const MAX_IOV: usize = 64;
 
@@ -89,7 +91,7 @@ fn token(idx: u32, gen: u32) -> u64 {
 }
 
 /// A finished scoring response travelling from a pool worker back to
-/// the owning reactor shard.
+/// the reactor.
 struct Completion {
     idx: u32,
     gen: u32,
@@ -100,14 +102,6 @@ struct Completion {
     /// The request's stage timer, carried through the pool round-trip;
     /// finished once the response is serialized on the reactor thread.
     timer: RequestTimer,
-}
-
-/// A listener-less sibling shard's intake, held by the shard that owns
-/// the sole listener when `SO_REUSEPORT` is unavailable: accepted
-/// sockets are pushed into `inbox` and the sibling is woken to drain.
-struct Handoff {
-    inbox: Arc<Mutex<Vec<TcpStream>>>,
-    waker: Arc<WakeWriter>,
 }
 
 /// Per-connection state machine.
@@ -153,6 +147,10 @@ struct Conn {
     /// When that request's header block completed (0 = not yet) — the
     /// head-read / body-read boundary.
     t_head: u64,
+    /// An over-budget socket that got its `503` and a write shutdown:
+    /// reads are discarded until the peer's EOF or the deadline. Holds
+    /// no budget slot.
+    lingering: bool,
 }
 
 impl Conn {
@@ -161,133 +159,40 @@ impl Conn {
     }
 }
 
-/// Serves until the stop signal triggers or the listener dies: builds
-/// one [`Reactor`] per shard, spawns shards 1..N on their own threads
-/// and runs shard 0 on the calling thread. Shard `i` owns
-/// `listeners[i]` when the `SO_REUSEPORT` group bound; otherwise shard
-/// 0 owns the sole listener and feeds the rest through their inboxes.
-/// Shard 0 exiting triggers stop so every shard winds down together;
-/// shard 0's verdict is the server's.
-pub(crate) fn run(listeners: Vec<TcpListener>, ctx: ServeCtx) -> io::Result<()> {
-    let shards = ctx.cfg.shards.max(1);
-    let n_listeners = listeners.len();
-    // Pipes and inboxes exist before any shard runs: shard 0 needs
-    // every listener-less sibling's handoff endpoints up front.
-    let mut slots = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (pipe, waker) = WakePipe::new()?;
-        let inbox = Arc::new(Mutex::new(Vec::new()));
-        slots.push((pipe, waker, inbox));
-    }
-    let mut peers: Vec<Handoff> = slots
-        .iter()
-        .skip(n_listeners.max(1))
-        .map(|(_, waker, inbox)| Handoff { inbox: Arc::clone(inbox), waker: Arc::clone(waker) })
-        .collect();
-    let mut listeners = listeners.into_iter();
-    let mut reactors = Vec::with_capacity(shards);
-    for (shard, (pipe, waker, inbox)) in slots.into_iter().enumerate() {
-        let shard_peers = if shard == 0 { std::mem::take(&mut peers) } else { Vec::new() };
-        reactors.push(Reactor::new(
-            shard,
-            listeners.next(),
-            pipe,
-            waker,
-            inbox,
-            shard_peers,
-            ctx.clone(),
-        )?);
-    }
-    let mut reactors = reactors.into_iter();
-    let Some(mut shard0) = reactors.next() else {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "no reactor shards"));
-    };
-    let mut handles = Vec::new();
-    for (i, mut reactor) in reactors.enumerate() {
-        let spawned = std::thread::Builder::new()
-            .name(format!("uadb-serve-shard-{}", i + 1))
-            .spawn(move || {
-                if let Err(e) = reactor.run() {
-                    let shard = (i + 1).to_string();
-                    let err = e.to_string();
-                    logger().log(
-                        Level::Error,
-                        "reactor",
-                        "shard exited with error",
-                        &[("shard", &shard), ("error", &err)],
-                    );
-                }
-            });
-        match spawned {
-            Ok(handle) => handles.push(handle),
-            Err(e) => {
-                ctx.stop.trigger();
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-    let result = shard0.run();
-    // Shard 0 returning — listener death or stop — takes the whole
-    // server down: wake the siblings and wait for them to drain.
-    ctx.stop.trigger();
-    for handle in handles {
-        let _ = handle.join();
-    }
-    result
+/// Serves on the calling thread until the stop signal triggers or the
+/// listener dies.
+pub(crate) fn run(listener: TcpListener, ctx: ServeCtx) -> io::Result<()> {
+    Reactor::new(listener, ctx)?.run()
 }
 
 struct Reactor {
     ep: Epoll,
-    /// `None` on listener-less shards (REUSEPORT-unavailable fallback):
-    /// connections arrive through `inbox` instead.
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     pipe: WakePipe,
     waker: Arc<WakeWriter>,
-    /// Sockets handed off by the listener-owning shard; drained on
-    /// wakeup.
-    inbox: Arc<Mutex<Vec<TcpStream>>>,
-    /// Listener-less siblings this shard feeds round-robin (only ever
-    /// non-empty on shard 0, only in the fallback mode).
-    peers: Vec<Handoff>,
-    /// Round-robin cursor over `1 + peers.len()` targets (0 = self).
-    rr: usize,
     conns: Vec<Option<Conn>>,
     /// Current generation per slot (bumped on free).
     gens: Vec<u32>,
     free: Vec<u32>,
+    /// Slab entries that are lingering over-budget sockets.
+    lingering: usize,
     completions: Arc<Mutex<Vec<Completion>>>,
     wheel: TimerWheel,
     ctx: ServeCtx,
     accept_failures: u32,
-    /// This shard's telemetry block, cached so the hot paths never
-    /// touch the registry lock.
-    stats: Arc<ShardStats>,
 }
 
 impl Reactor {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        shard: usize,
-        listener: Option<TcpListener>,
-        pipe: WakePipe,
-        waker: Arc<WakeWriter>,
-        inbox: Arc<Mutex<Vec<TcpStream>>>,
-        peers: Vec<Handoff>,
-        ctx: ServeCtx,
-    ) -> io::Result<Self> {
+    fn new(listener: TcpListener, ctx: ServeCtx) -> io::Result<Self> {
         let ep = Epoll::new()?;
-        if let Some(l) = &listener {
-            l.set_nonblocking(true)?;
-            ep.add(l.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        }
+        listener.set_nonblocking(true)?;
+        ep.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        let (pipe, waker) = WakePipe::new()?;
         ep.add(pipe.fd(), EPOLLIN, TOKEN_WAKE)?;
         // Shutdown interrupts `epoll_wait` through the same pipe the
-        // scoring completions use; every shard registers its own waker.
+        // scoring completions use.
         let stop_waker = Arc::clone(&waker);
-        ctx.stop.add_waker(Box::new(move || stop_waker.wake()));
+        ctx.stop.set_waker(Box::new(move || stop_waker.wake()));
         let now = Instant::now();
         let span = ctx.cfg.idle_timeout.max(ctx.cfg.io_timeout);
         Ok(Self {
@@ -295,17 +200,14 @@ impl Reactor {
             listener,
             pipe,
             waker,
-            inbox,
-            peers,
-            rr: 0,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
+            lingering: 0,
             completions: Arc::new(Mutex::new(Vec::new())),
             wheel: TimerWheel::new(now, span),
             ctx,
             accept_failures: 0,
-            stats: metrics().shard_stats(shard),
         })
     }
 
@@ -329,7 +231,7 @@ impl Reactor {
             if self.ctx.stop.is_stopped() {
                 break;
             }
-            self.stats.events.add(n as u64);
+            metrics().reactor_events.add(n as u64);
             let now = Instant::now();
             for ev in &events[..n] {
                 // Copies out of the (packed) event struct.
@@ -338,7 +240,6 @@ impl Reactor {
                     TOKEN_LISTENER => self.accept_burst(now)?,
                     TOKEN_WAKE => {
                         self.pipe.drain();
-                        self.drain_inbox(now);
                         self.drain_completions();
                     }
                     tok => self.conn_event(tok, bits, now),
@@ -353,8 +254,7 @@ impl Reactor {
         }
         // Teardown: close every connection so the budget counter ends
         // balanced; sockets close on drop. Outstanding scoring
-        // completions harmlessly accumulate in the shared queue, as do
-        // handed-off sockets never drained from the inbox.
+        // completions harmlessly accumulate in the shared queue.
         for idx in 0..self.conns.len() as u32 {
             self.close_conn(idx);
         }
@@ -368,42 +268,19 @@ impl Reactor {
         // past the cap re-reports next tick instead of starving the
         // connections already being served.
         for _ in 0..ACCEPT_BURST {
-            let accepted = match &self.listener {
-                Some(l) => l.accept(),
-                None => return Ok(()),
-            };
-            match accepted {
-                Ok((mut stream, _peer)) => {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
                     self.accept_failures = 0;
-                    // The budget is global across shards. Sockets
-                    // handed to a sibling count only once that shard
-                    // registers them, so a burst can overshoot by the
-                    // handful of handoffs in flight — bounded by
-                    // ACCEPT_BURST, never compounding.
-                    if self.ctx.stats.open_connections() >= self.ctx.cfg.max_connections {
-                        // Over budget: best-effort nonblocking 503 and
-                        // drop. ~130 bytes always fit a fresh socket's
-                        // send buffer. ONE bounded nonblocking read
-                        // first drains a typical already-arrived
-                        // request so the close sends a clean FIN
-                        // instead of an RST racing the 503 — never
-                        // more, because this runs on the event loop
-                        // and a client still streaming must not stall
-                        // every live connection. If the socket cannot
-                        // even be made nonblocking, just drop it.
-                        if stream.set_nonblocking(true).is_ok() {
-                            let mut scratch = [0u8; 16 * 1024];
-                            let _ = stream.read(&mut scratch);
-                            let mut out = Vec::new();
-                            over_budget_response().serialize_into(&mut out, true);
-                            let _ = stream.write(&out);
-                        }
-                        continue;
-                    }
+                    // If the socket cannot even be made nonblocking,
+                    // just drop it.
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    self.dispatch_accepted(stream, now);
+                    if self.ctx.stats.open_connections() >= self.ctx.cfg.max_connections {
+                        self.reject_over_budget(stream, now);
+                    } else {
+                        self.register_conn(stream, now);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) => {
@@ -424,39 +301,55 @@ impl Reactor {
         Ok(())
     }
 
-    /// Routes a freshly accepted (already nonblocking) socket to a
-    /// shard: round-robin over self + the listener-less siblings when
-    /// running in handoff mode, straight to self otherwise.
-    // audit: no_panic
-    fn dispatch_accepted(&mut self, stream: TcpStream, now: Instant) {
-        if self.peers.is_empty() {
-            self.register_conn(stream, now);
+    /// Answers an over-budget client with a best-effort `503` (~130
+    /// bytes always fit a fresh socket's send buffer). Closing while
+    /// request bytes sit unread would turn the FIN into a reset that
+    /// can reach the client before it reads the `503`, so the socket
+    /// shuts down its write side and lingers on the loop, its reads
+    /// discarded, until the peer's EOF or [`LINGER_TIMEOUT`]. Past
+    /// [`MAX_LINGER`] lingering sockets, it instead drains one bounded
+    /// read — a typical request that has already arrived — and closes
+    /// at once: a client still streaming must not stall the loop.
+    fn reject_over_budget(&mut self, mut stream: TcpStream, now: Instant) {
+        let mut out = Vec::new();
+        over_budget_response().serialize_into(&mut out, true);
+        if self.lingering >= MAX_LINGER {
+            let mut scratch = [0u8; 16 * 1024];
+            let _ = stream.read(&mut scratch);
+            let _ = stream.write(&out);
             return;
         }
-        let targets = 1 + self.peers.len();
-        let target = self.rr % targets;
-        self.rr = (self.rr + 1) % targets;
-        if target == 0 {
-            self.register_conn(stream, now);
-        } else {
-            let peer = &self.peers[target - 1];
-            peer.inbox.lock().unwrap_or_else(|e| e.into_inner()).push(stream);
-            peer.waker.wake();
+        let _ = stream.write(&out);
+        let _ = stream.shutdown(Shutdown::Write);
+        if let Some(idx) = self.add_conn(stream, now + LINGER_TIMEOUT, true, now) {
+            self.lingering += 1;
+            self.discard(idx);
         }
     }
 
-    /// Adopts sockets a sibling shard accepted on this shard's behalf.
-    fn drain_inbox(&mut self, now: Instant) {
-        loop {
-            let Some(stream) = self.inbox.lock().unwrap_or_else(|e| e.into_inner()).pop() else {
-                return;
-            };
-            self.register_conn(stream, now);
-        }
-    }
-
-    /// Registers a nonblocking socket with this shard's epoll and slab.
+    /// Registers an accepted, nonblocking socket as a connection.
     fn register_conn(&mut self, stream: TcpStream, now: Instant) {
+        let deadline = now + self.ctx.cfg.idle_timeout;
+        let Some(idx) = self.add_conn(stream, deadline, false, now) else { return };
+        self.ctx.stats.conn_opened();
+        metrics().reactor_accepted.inc();
+        // A client usually sends its request right behind the
+        // handshake: read now rather than a loop turn later, when the
+        // edge the registration reports arrives.
+        self.readable(idx, now);
+    }
+
+    /// Adds a socket to the epoll set (edge-triggered, read interest)
+    /// and the slab, with its one wheel entry armed for `deadline`.
+    /// Returns its slot, or `None` if epoll refused it (the socket then
+    /// drops, which closes it).
+    fn add_conn(
+        &mut self,
+        stream: TcpStream,
+        deadline: Instant,
+        lingering: bool,
+        now: Instant,
+    ) -> Option<u32> {
         let idx = self.alloc_slot();
         let gen = self.gens[idx as usize];
         let interest = EPOLLIN | EPOLLRDHUP;
@@ -465,9 +358,8 @@ impl Reactor {
         // which re-delivers an edge for already-pending readiness.
         if self.ep.add(stream.as_raw_fd(), interest | EPOLLET, token(idx, gen)).is_err() {
             self.free.push(idx);
-            return; // stream drops → closed
+            return None;
         }
-        let deadline = now + self.ctx.cfg.idle_timeout;
         self.conns[idx as usize] = Some(Conn {
             stream,
             gen,
@@ -484,17 +376,29 @@ impl Reactor {
             armed_for: deadline,
             t_first: 0,
             t_head: 0,
+            lingering,
         });
-        self.ctx.stats.conn_opened();
-        self.stats.accepted.inc();
         // The one live wheel entry this connection has; it re-arms
         // itself against `deadline` until close.
         self.wheel.schedule(now, deadline, (idx, gen, 0));
-        // A handed-off socket may already hold a request; the MOD-free
-        // initial registration delivers the pending-read edge, but only
-        // for bytes that arrived before `epoll_ctl(ADD)`. Reading once
-        // now closes the window for bytes that landed in between.
-        self.readable(idx, now);
+        Some(idx)
+    }
+
+    /// Reads and throws away everything a lingering socket has, and
+    /// closes it at the peer's EOF or on an error.
+    fn discard(&mut self, idx: u32) {
+        let Some(conn) = self.conns[idx as usize].as_mut() else { return };
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        self.close_conn(idx);
     }
 
     fn alloc_slot(&mut self) -> u32 {
@@ -513,7 +417,11 @@ impl Reactor {
             // Invalidate in-flight events, timers and completions.
             self.gens[idx as usize] = self.gens[idx as usize].wrapping_add(1);
             self.free.push(idx);
-            self.ctx.stats.conn_closed();
+            if conn.lingering {
+                self.lingering -= 1;
+            } else {
+                self.ctx.stats.conn_closed();
+            }
         }
     }
 
@@ -528,6 +436,12 @@ impl Reactor {
             return;
         };
         if conn.gen != gen {
+            return;
+        }
+        if conn.lingering {
+            // Even on a hang-up: closing before the unread bytes are
+            // gone would send the reset lingering exists to avoid.
+            self.discard(idx);
             return;
         }
         if bits & (EPOLLERR | EPOLLHUP) != 0 {

@@ -60,118 +60,6 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn setsockopt(
-        fd: c_int,
-        level: c_int,
-        optname: c_int,
-        optval: *const c_void,
-        optlen: u32,
-    ) -> c_int;
-    fn bind(fd: c_int, addr: *const c_void, addrlen: u32) -> c_int;
-    fn listen(fd: c_int, backlog: c_int) -> c_int;
-}
-
-const AF_INET: c_int = 2;
-const AF_INET6: c_int = 10;
-const SOCK_STREAM: c_int = 1;
-const SOCK_CLOEXEC: c_int = 0o2000000;
-const SOL_SOCKET: c_int = 1;
-const SO_REUSEADDR: c_int = 2;
-const SO_REUSEPORT: c_int = 15;
-
-/// `struct sockaddr_in` (IPv4), network byte order where the ABI says so.
-#[repr(C)]
-struct SockAddrIn {
-    sin_family: u16,
-    sin_port: u16,
-    sin_addr: u32,
-    sin_zero: [u8; 8],
-}
-
-/// `struct sockaddr_in6` (IPv6).
-#[repr(C)]
-struct SockAddrIn6 {
-    sin6_family: u16,
-    sin6_port: u16,
-    sin6_flowinfo: u32,
-    sin6_addr: [u8; 16],
-    sin6_scope_id: u32,
-}
-
-/// Binds a listener with `SO_REUSEPORT` set *before* `bind`, which std
-/// cannot do — the kernel then load-balances incoming connections
-/// across every listener sharing the address, one per reactor shard.
-/// Fails cleanly (for the caller to fall back on) where the option is
-/// unavailable or the address is contended by a non-REUSEPORT socket.
-pub fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    use std::os::fd::FromRawFd;
-
-    let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
-    // SAFETY: plain syscall, no pointers.
-    let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // Wrap immediately: any error below must close the fd exactly once.
-    // SAFETY: `fd` is a fresh socket we own; the listener takes sole
-    // ownership (listen() below makes the wrapper semantically true).
-    let owned = unsafe { std::net::TcpListener::from_raw_fd(fd) };
-    for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-        let one: c_int = 1;
-        // SAFETY: `one` is a live c_int whose exact size is passed.
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                opt,
-                (&one as *const c_int).cast::<c_void>(),
-                std::mem::size_of::<c_int>() as u32,
-            )
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-    }
-    let rc = match addr {
-        std::net::SocketAddr::V4(v4) => {
-            let sa = SockAddrIn {
-                sin_family: AF_INET as u16,
-                sin_port: v4.port().to_be(),
-                sin_addr: u32::from_ne_bytes(v4.ip().octets()),
-                sin_zero: [0; 8],
-            };
-            // SAFETY: `sa` is a valid sockaddr_in outliving the call.
-            unsafe {
-                bind(fd, (&sa as *const SockAddrIn).cast::<c_void>(), {
-                    std::mem::size_of::<SockAddrIn>() as u32
-                })
-            }
-        }
-        std::net::SocketAddr::V6(v6) => {
-            let sa = SockAddrIn6 {
-                sin6_family: AF_INET6 as u16,
-                sin6_port: v6.port().to_be(),
-                sin6_flowinfo: v6.flowinfo().to_be(),
-                sin6_addr: v6.ip().octets(),
-                sin6_scope_id: v6.scope_id(),
-            };
-            // SAFETY: `sa` is a valid sockaddr_in6 outliving the call.
-            unsafe {
-                bind(fd, (&sa as *const SockAddrIn6).cast::<c_void>(), {
-                    std::mem::size_of::<SockAddrIn6>() as u32
-                })
-            }
-        }
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: plain syscall on an fd we own.
-    if unsafe { listen(fd, 1024) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(owned)
 }
 
 /// An owned epoll instance.
@@ -321,19 +209,6 @@ impl Drop for WakePipe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reuseport_listeners_share_one_address() {
-        let first = bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        assert_ne!(addr.port(), 0, "bound to a concrete port");
-        // A second REUSEPORT listener binds the same concrete address —
-        // the kernel will balance accepts between them.
-        let second = bind_reuseport(addr).unwrap();
-        assert_eq!(second.local_addr().unwrap(), addr);
-        // Connects complete against the shared backlog.
-        let _client = std::net::TcpStream::connect(addr).unwrap();
-    }
 
     #[test]
     fn wake_pipe_round_trips_and_drains() {

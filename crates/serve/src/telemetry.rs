@@ -148,17 +148,6 @@ impl ModelStats {
     }
 }
 
-/// Per-reactor-shard counters, labeled `shard=N`. Each epoll shard
-/// caches its own block at construction so the hot accept/event paths
-/// touch plain atomic counters, never the registry lock.
-#[derive(Debug)]
-pub struct ShardStats {
-    /// Connections this shard accepted (or received via handoff).
-    pub accepted: Arc<Counter>,
-    /// Readiness events this shard's `epoll_wait` delivered.
-    pub events: Arc<Counter>,
-}
-
 /// Row-sampling cap for the per-feature drift accumulators: at most
 /// this many rows of a batch feed [`FeatureStats`] (uniform stride, so
 /// the mean estimate is unbiased). Score-sketch recording covers every
@@ -450,13 +439,17 @@ pub struct ServeMetrics {
     pub pool_busy_ns: Arc<Counter>,
     pub worker_panics: Arc<Counter>,
 
+    /// Connections the reactor accepted within the budget.
+    pub reactor_accepted: Arc<Counter>,
+    /// Readiness events the reactor's `epoll_wait` delivered.
+    pub reactor_events: Arc<Counter>,
+
     divergence: DecayStat,
     div_mean: Arc<FloatGauge>,
     div_max: Arc<FloatGauge>,
     div_samples: Arc<Counter>,
 
     model_stats: RwLock<BTreeMap<String, Arc<ModelStats>>>,
-    shard_stats: RwLock<BTreeMap<usize, Arc<ShardStats>>>,
     /// Live drift windows by model name — entries are *replaced* on
     /// model swap (unlike `model_stats`, which deliberately survives).
     drift: RwLock<BTreeMap<String, Arc<ModelDrift>>>,
@@ -541,6 +534,17 @@ impl ServeMetrics {
             &[],
         );
 
+        let reactor_accepted = registry.counter(
+            "uadb_reactor_accepted_total",
+            "Connections the reactor accepted within the budget.",
+            &[],
+        );
+        let reactor_events = registry.counter(
+            "uadb_reactor_events_total",
+            "Epoll readiness events the reactor's loop delivered.",
+            &[],
+        );
+
         let div_mean = registry.float_gauge(
             "uadb_divergence_mean_abs",
             "Decayed mean |teacher - booster| over paired A/B scores.",
@@ -577,6 +581,8 @@ impl ServeMetrics {
             pool_shard_duration,
             pool_busy_ns,
             worker_panics,
+            reactor_accepted,
+            reactor_events,
             // ~1/0.002 = 500-sample effective window: long enough to
             // smooth batch noise, short enough that drift shows within
             // a few requests' worth of rows.
@@ -585,7 +591,6 @@ impl ServeMetrics {
             div_max,
             div_samples,
             model_stats: RwLock::new(BTreeMap::new()),
-            shard_stats: RwLock::new(BTreeMap::new()),
             drift: RwLock::new(BTreeMap::new()),
             drift_gauges: RwLock::new(BTreeMap::new()),
             drift_warn_psi_bits: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -649,37 +654,6 @@ impl ServeMetrics {
         });
         let stats = Arc::new(ModelStats { name: Arc::from(name), variants });
         map.insert(name.to_string(), Arc::clone(&stats));
-        stats
-    }
-
-    /// The counter block for one reactor shard, registering its two
-    /// series (`shard=N` accepted/events) on first sight. Shards call
-    /// this once at construction and cache the `Arc`.
-    pub fn shard_stats(&self, shard: usize) -> Arc<ShardStats> {
-        if let Some(stats) = self.shard_stats.read().unwrap().get(&shard) {
-            return Arc::clone(stats);
-        }
-        let mut map = self.shard_stats.write().unwrap();
-        // Double-checked: another thread may have registered between
-        // the read unlock and the write lock.
-        if let Some(stats) = map.get(&shard) {
-            return Arc::clone(stats);
-        }
-        let label = shard.to_string();
-        let labels = [("shard", label.as_str())];
-        let stats = Arc::new(ShardStats {
-            accepted: self.registry.counter(
-                "uadb_reactor_accepted_total",
-                "Connections accepted, by reactor shard.",
-                &labels,
-            ),
-            events: self.registry.counter(
-                "uadb_reactor_events_total",
-                "Epoll readiness events delivered, by reactor shard.",
-                &labels,
-            ),
-        });
-        map.insert(shard, Arc::clone(&stats));
         stats
     }
 

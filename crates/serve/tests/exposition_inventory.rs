@@ -54,11 +54,9 @@ fn exposed_families(text: &str) -> BTreeSet<String> {
 #[test]
 fn exposition_matches_inventory_exactly() {
     let m = uadb_serve::metrics();
-    // The per-model and per-shard families register on first use; touch
-    // one model and one shard so the exposition carries them like a
-    // serving process would.
+    // The per-model families register on first use; touch one model so
+    // the exposition carries them like a serving process would.
     let _ = m.model_stats("inventory-probe");
-    let _ = m.shard_stats(0);
     let _ = m.install_drift("inventory-probe", &[0.0], &[1.0], None);
     let _ = m.train_loss_gauge("inventory-probe");
     let exposed = exposed_families(&m.render());

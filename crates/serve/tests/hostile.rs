@@ -116,7 +116,6 @@ fn slow_loris_partial_requests_are_reaped_without_pinning_the_server() {
         max_requests_per_conn: 100,
         idle_timeout: Duration::from_secs(5),
         io_timeout: Duration::from_millis(300),
-        shards: 1,
     };
     let handle = spawn_with(&model, config);
     let addr = handle.addr();
@@ -219,7 +218,6 @@ fn stalled_reader_gets_every_pipelined_response_after_partial_writes() {
         max_requests_per_conn: 100,
         idle_timeout: Duration::from_secs(10),
         io_timeout: Duration::from_secs(10),
-        shards: 1,
     };
     let handle = spawn_with(&model, config);
     let addr = handle.addr();
@@ -314,7 +312,6 @@ fn idle_keepalive_connections_fill_the_budget_and_release_it() {
         max_requests_per_conn: 100,
         idle_timeout: Duration::from_secs(30),
         io_timeout: Duration::from_secs(5),
-        shards: 1,
     };
     let handle = spawn_with(&model, config);
     let addr = handle.addr();
@@ -387,7 +384,6 @@ fn epoll_sustains_4x_the_default_connection_budget() {
         max_requests_per_conn: 1000,
         idle_timeout: Duration::from_secs(60),
         io_timeout: Duration::from_secs(10),
-        shards: 4,
     };
     let handle = Server::bind("127.0.0.1:0", registry, config).unwrap().spawn().unwrap();
     let addr = handle.addr();
@@ -682,7 +678,6 @@ fn connect_flood_does_not_starve_active_scorer() {
         max_requests_per_conn: 10_000,
         idle_timeout: Duration::from_secs(30),
         io_timeout: Duration::from_secs(10),
-        shards: 1, // one loop: accepts and scorer I/O compete directly
     };
     let handle = spawn_with(&model, config);
     let addr = handle.addr();

@@ -315,7 +315,6 @@ fn over_budget_connections_count_as_rejections() {
         max_requests_per_conn: 100,
         idle_timeout: Duration::from_secs(5),
         io_timeout: Duration::from_secs(5),
-        shards: 1,
     };
     let handle = spawn_with(&served, config);
     let addr = handle.addr();

@@ -416,7 +416,6 @@ fn idle_timeout_and_max_requests_close_the_socket() {
         max_requests_per_conn: 2,
         idle_timeout: Duration::from_millis(150),
         io_timeout: Duration::from_secs(5),
-        shards: 1,
     };
     let handle = spawn_with(&served, config);
     let addr = handle.addr();
@@ -546,7 +545,6 @@ fn connection_budget_rejects_excess_clients_with_503() {
         max_requests_per_conn: 100,
         idle_timeout: Duration::from_secs(5),
         io_timeout: Duration::from_secs(5),
-        shards: 1,
     };
     let handle = spawn_with(&served, config);
     let addr = handle.addr();
@@ -580,6 +578,39 @@ fn connection_budget_rejects_excess_clients_with_503() {
     let r = d.read_response();
     assert_eq!(r.status, 200, "freed budget slot not reused: {}", r.body);
 
+    handle.shutdown();
+}
+
+/// An over-budget client that sends a large request reads the 503 and
+/// then a clean EOF. Closing with the request's tail unread would send
+/// a reset instead, which the client sees after (or instead of) the
+/// 503.
+#[test]
+fn over_budget_client_with_large_body_reads_503_then_eof() {
+    let served = Arc::new(trained_model(49));
+    let config = ServerConfig { max_connections: 1, ..ServerConfig::default() };
+    let handle = spawn_with(&served, config);
+    let addr = handle.addr();
+
+    // One keep-alive connection holds the whole budget.
+    let mut holder = Client::connect(addr);
+    assert_eq!(holder.roundtrip("GET", "/healthz", None).status, 200);
+
+    // A 64 KiB body: far more than one read takes off the socket.
+    let empty = r#"{"rows": []}"#;
+    let body = format!("{empty}{}", " ".repeat(64 * 1024 - empty.len()));
+    for i in 0..4 {
+        let mut c = Client::connect(addr);
+        c.send("POST", "/score", Some(&body), false);
+        let r = c.read_response();
+        assert_eq!(r.status, 503, "client {i}: {}", r.body);
+        assert_eq!(r.connection.as_deref(), Some("close"), "client {i}");
+        assert!(c.at_eof(), "client {i}");
+    }
+    // Rejected sockets still draining hold no budget slot.
+    assert_eq!(handle.stats().open_connections(), 1);
+
+    drop(holder);
     handle.shutdown();
 }
 
@@ -841,70 +872,47 @@ fn teacher_dimension_mismatch_is_4xx_not_a_crash() {
     handle.shutdown();
 }
 
-// --------------------- sharded epoll reactor -------------------------
+// ------------------------- the reactor loop ---------------------------
 
-/// The sharded reactor serves correctly in both accept modes: one
-/// `SO_REUSEPORT` listener per shard (the normal path), and
-/// single-listener round-robin handoff (`UADB_SERVE_NO_REUSEPORT`
-/// forces the fallback). Whatever shard a connection lands on, scores
-/// must come back bit-identical.
-#[cfg(target_os = "linux")]
+/// `uadb_reactor_accepted_total` as the server's `/metrics` reports it.
+fn accepted_total(addr: SocketAddr) -> f64 {
+    let (status, text) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    text.lines()
+        .find_map(|l| l.strip_prefix("uadb_reactor_accepted_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("uadb_reactor_accepted_total in /metrics")
+}
+
+/// Keep-alive connections held open together on the one reactor loop,
+/// scoring in interleaved rounds, all get scores bit-identical to
+/// in-process scoring, and each counts as accepted.
 #[test]
-fn sharded_reactor_scores_in_reuseport_and_handoff_modes() {
+fn interleaved_keepalive_clients_score_identically_on_one_loop() {
     let served = Arc::new(trained_model(91));
     let data = fig5_dataset(AnomalyType::Clustered, 91);
     let rows: Vec<usize> = (0..8).collect();
     let expected = served.score_rows(&data.x.select_rows(&rows)).unwrap();
     let body = rows_json(&data.x, &rows);
-    for fallback in [false, true] {
-        if fallback {
-            // Only servers binding with shards > 1 consult this knob,
-            // and this test is the binary's only one that does.
-            std::env::set_var("UADB_SERVE_NO_REUSEPORT", "1");
-        }
-        let config = ServerConfig { shards: 3, ..ServerConfig::default() };
-        let handle = spawn_with(&served, config);
-        let addr = handle.addr();
+    let handle = spawn_with(&served, ServerConfig::default());
+    let addr = handle.addr();
+    let accepted_before = accepted_total(addr);
 
-        // healthz reports the shard plan.
-        let (status, health) = request(addr, "GET", "/healthz", None);
-        assert_eq!(status, 200);
-        let doc = json::parse(&health).unwrap();
-        assert_eq!(doc.get("shards").and_then(Value::as_f64), Some(3.0), "fallback={fallback}");
-
-        // More keep-alive connections than shards, several interleaved
-        // rounds each.
-        let mut clients: Vec<Client> = (0..9).map(|_| Client::connect(addr)).collect();
-        for round in 0..3 {
-            for (ci, client) in clients.iter_mut().enumerate() {
-                let r = client.roundtrip("POST", "/score", Some(&body));
-                assert_eq!(r.status, 200, "fallback={fallback} client {ci} round {round}");
-                let scores = parse_scores(&r.body);
-                for (i, (a, b)) in scores.iter().zip(&expected).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "fallback={fallback} client {ci} round {round} row {i}"
-                    );
-                }
+    let mut clients: Vec<Client> = (0..9).map(|_| Client::connect(addr)).collect();
+    for round in 0..3 {
+        for (ci, client) in clients.iter_mut().enumerate() {
+            let r = client.roundtrip("POST", "/score", Some(&body));
+            assert_eq!(r.status, 200, "client {ci} round {round}");
+            let scores = parse_scores(&r.body);
+            assert_eq!(scores.len(), expected.len(), "client {ci} round {round}");
+            for (i, (a, b)) in scores.iter().zip(&expected).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "client {ci} round {round} row {i}");
             }
         }
-
-        // Every shard registered its telemetry block (labels 0..2).
-        let (status, metrics_text) = request(addr, "GET", "/metrics", None);
-        assert_eq!(status, 200);
-        for shard in 0..3 {
-            let series = format!("uadb_reactor_accepted_total{{shard=\"{shard}\"}}");
-            assert!(
-                metrics_text.contains(&series),
-                "fallback={fallback}: missing {series} in /metrics"
-            );
-        }
-
-        drop(clients);
-        handle.shutdown();
-        if fallback {
-            std::env::remove_var("UADB_SERVE_NO_REUSEPORT");
-        }
     }
+    let accepted = accepted_total(addr) - accepted_before;
+    assert!(accepted >= 9.0, "uadb_reactor_accepted_total rose by {accepted}");
+
+    drop(clients);
+    handle.shutdown();
 }
