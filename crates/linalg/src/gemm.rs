@@ -4,20 +4,33 @@
 //! `input → 128 → 128 → 1` MLP), so this kernel is written for exactly
 //! that regime: moderate `k`/`n`, batch-sized `m`. It blocks over rows
 //! (`MC`) and columns (`NC`), and computes each output row in
-//! register-tiled strips of [`NR`] columns with the `k` accumulation
-//! kept **sequential per output element** — every `out[i][j]` is the
-//! same ordered sum `Σ_k a[i][k]·b[k][j]` the naive i/k/j kernel
-//! produces, so results are bit-identical to it (the proptest in
-//! `tests/proptests.rs` pins this against a reference triple loop).
+//! register-tiled strips of [`NR`] = 32 columns with the `k`
+//! accumulation kept **sequential per output element** — every
+//! `out[i][j]` is the same ordered sum `Σ_k a[i][k]·b[k][j]` the naive
+//! i/k/j kernel produces, so results are bit-identical to it (the
+//! proptest in `tests/proptests.rs` pins this against a reference
+//! triple loop). A 32-column strip holds four AVX-512 (eight AVX)
+//! accumulators: each is one add chain bound by the add latency, so
+//! twice the chains of a 16-column strip keep twice the adds in flight
+//! per `k` step.
 //!
-//! Two data paths feed the strip micro-kernels:
+//! The rhs reaches the strips as an [`Rhs`] view:
 //!
 //! * **direct** — strips load straight from the row-major rhs with a
 //!   stride of `n` (small batches, where packing cannot amortise);
 //! * **packed** — the rhs is first re-laid out strip-major by
 //!   [`pack_rhs`] so the `k` loop streams contiguous memory. Packing is
 //!   O(k·n) and amortises over the batch rows; for a long-lived weight
-//!   matrix the packed panel can be built once and reused forever.
+//!   matrix the packed panel can be built once and reused forever;
+//! * **transposed** — the rhs is `Wᵀ` of a row-major `W`, packed
+//!   straight from `W` by [`pack_transposed`] in one pass that also
+//!   yields `Wᵀ`'s row finiteness. The training backward pass multiplies
+//!   by `Wᵀ` this way without materialising it.
+//!
+//! Packed panels live in an [`AlignedBuf`], which starts them on a
+//! 64-byte boundary: a strip row is 256 bytes, so every 8-lane load of
+//! a packed strip then sits in one cache line instead of straddling
+//! two.
 //!
 //! IEEE-754 semantics are preserved: a zero left-hand coefficient may
 //! only skip its contribution when the matching `rhs` row is entirely
@@ -35,9 +48,12 @@
 //! Two row kinds feed the strips. A row with no zero coefficient runs
 //! every `k` through the dense strip. A row with zeros — ReLU
 //! activations are about half zeros — first has its surviving `k`
-//! indices compacted once per row block, without a branch, and every
-//! strip of that row then walks only that list. The ragged remainder
-//! columns add every term for every row.
+//! indices compacted once per row block, and every strip of that row
+//! then walks only that list. Compaction is table-driven and
+//! branch-free: each group of 8 coefficients becomes an 8-bit keep
+//! mask, one 256-entry table lookup writes that group's kept offsets,
+//! and the list length advances by the number kept. The ragged
+//! remainder columns add every term for every row.
 
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -49,7 +65,7 @@ use crate::Result;
 /// Register-tile width: each output row is produced in strips of `NR`
 /// column accumulators that live in registers for the whole `k` loop,
 /// so `out` is written once instead of loaded/stored per `k` step.
-pub const NR: usize = 16;
+pub const NR: usize = 32;
 /// Row-block height: rows of `a` scored against one `k×NR` strip of `b`
 /// before moving to the next strip, keeping the strip in L1.
 const MC: usize = 64;
@@ -78,7 +94,7 @@ const PACK_MIN_ROWS: usize = 8;
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     finite: Option<Vec<bool>>,
-    pack: Vec<f64>,
+    pack: AlignedBuf,
     packed: bool,
 }
 
@@ -91,7 +107,7 @@ impl GemmScratch {
     /// Eagerly computes the row-finiteness mask and packed panel of
     /// `rhs`.
     pub fn precomputed(rhs: &Matrix) -> Self {
-        let mut pack = Vec::new();
+        let mut pack = AlignedBuf::default();
         pack_rhs(rhs.rows(), rhs.cols(), rhs.as_slice(), &mut pack);
         stats::pack_built();
         Self { finite: Some(row_finiteness(rhs)), pack, packed: true }
@@ -104,8 +120,8 @@ impl GemmScratch {
         self.packed = false;
     }
 
-    /// The cached packed panel, building it from `rhs` if absent.
-    fn ensure_pack(&mut self, rhs: &Matrix) -> &[f64] {
+    /// Builds the packed panel from `rhs` unless it is cached.
+    fn ensure_pack(&mut self, rhs: &Matrix) {
         if !self.packed {
             pack_rhs(rhs.rows(), rhs.cols(), rhs.as_slice(), &mut self.pack);
             self.packed = true;
@@ -113,7 +129,48 @@ impl GemmScratch {
         } else {
             stats::pack_reused();
         }
-        &self.pack
+    }
+}
+
+/// A grow-once `f64` buffer whose contents start on a 64-byte boundary,
+/// for packed strip panels.
+///
+/// A `Vec<f64>` is only as aligned as the allocator makes it (16 bytes
+/// is common), so a strip row's 8-lane loads could each straddle two
+/// cache lines. The buffer over-allocates a plain `Vec` by 7 elements
+/// and starts at the first boundary inside it: no `unsafe`, no custom
+/// allocator, and at most 56 bytes more than the contents need.
+#[derive(Debug, Clone, Default)]
+pub struct AlignedBuf {
+    buf: Vec<f64>,
+    start: usize,
+    len: usize,
+}
+
+impl AlignedBuf {
+    /// Sets the length to `len` and returns the contents, which are
+    /// unspecified: callers overwrite every element. Grow-once: no
+    /// allocation once the buffer has held `len` elements.
+    pub fn resize(&mut self, len: usize) -> &mut [f64] {
+        if self.buf.len() < len + 7 {
+            self.buf.resize(len + 7, 0.0);
+        }
+        // `align_offset` may decline to find an offset (it is allowed
+        // to, e.g. under Miri); the buffer is then merely unaligned.
+        let off = self.buf.as_ptr().align_offset(64);
+        self.start = if off < 8 { off } else { 0 };
+        self.len = len;
+        &mut self.buf[self.start..self.start + len]
+    }
+
+    /// The contents.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    /// The contents, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.buf[self.start..self.start + self.len]
     }
 }
 
@@ -198,7 +255,14 @@ pub mod stats {
 /// Per-row finiteness of a matrix: `mask[r]` is true iff every element
 /// of row `r` is finite (neither NaN nor ±inf).
 pub fn row_finiteness(m: &Matrix) -> Vec<bool> {
-    m.row_iter().map(|row| row.iter().all(|v| v.is_finite())).collect()
+    m.row_iter().map(row_is_finite).collect()
+}
+
+/// Whether every element of `row` is finite. The fold does not stop
+/// early, so it vectorises; rows are finite in practice, so an early
+/// exit would save nothing.
+fn row_is_finite(row: &[f64]) -> bool {
+    row.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
 /// [`row_finiteness`] into a caller-owned buffer. `mask` is cleared and
@@ -208,7 +272,7 @@ pub fn row_finiteness(m: &Matrix) -> Vec<bool> {
 /// double-buffering that keeps `apply_adam` allocation-free.
 pub fn row_finiteness_into(m: &Matrix, mask: &mut Vec<bool>) {
     mask.clear();
-    mask.extend(m.row_iter().map(|row| row.iter().all(|v| v.is_finite())));
+    mask.extend(m.row_iter().map(row_is_finite));
 }
 
 /// The pre-refactor `Matrix::matmul` kernel, kept **verbatim** (naive
@@ -242,25 +306,86 @@ pub fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// Length of the strip-major panel of a `k×n` rhs: its full [`NR`]-wide
+/// strips, `k` rows each.
+pub fn packed_len(k: usize, n: usize) -> usize {
+    k * (n - n % NR)
+}
+
 /// Re-lays a row-major `k×n` rhs strip-major: for each full [`NR`]-wide
 /// column strip, its `k×NR` panel is stored contiguously, so the strip
 /// micro-kernel streams sequential memory instead of `n`-strided rows.
 /// Ragged remainder columns (`n % NR`) are not packed; the kernels read
 /// them from the original buffer.
 ///
-/// `pack` is cleared and reused (grow-once: no allocation once it has
-/// reached `k * (n - n % NR)` capacity).
-pub fn pack_rhs(k: usize, n: usize, b: &[f64], pack: &mut Vec<f64>) {
+/// `pack` is resized to [`packed_len`] and overwritten (grow-once: no
+/// allocation once it has held that many elements).
+pub fn pack_rhs(k: usize, n: usize, b: &[f64], pack: &mut AlignedBuf) {
     assert_eq!(b.len(), k * n, "rhs buffer length must be k*n");
-    let full = n / NR;
-    pack.clear();
-    pack.reserve(k * full * NR);
-    for s in 0..full {
-        let jt = s * NR;
+    let panel = pack.resize(packed_len(k, n));
+    for s in 0..n / NR {
         for kk in 0..k {
-            pack.extend_from_slice(&b[kk * n + jt..kk * n + jt + NR]);
+            let dst = &mut panel[(s * k + kk) * NR..(s * k + kk + 1) * NR];
+            dst.copy_from_slice(&b[kk * n + s * NR..kk * n + (s + 1) * NR]);
         }
     }
+}
+
+/// Packs `Wᵀ` for [`Rhs::Transposed`] in one pass over the row-major
+/// `n×k` buffer `w`, so `Wᵀ` (the `k×n` rhs) is never materialised.
+///
+/// `panel` receives the [`pack_rhs`] image of `Wᵀ`: row `j < n - n % NR`
+/// of `w` is column `j` of `Wᵀ`, lane `j % NR` of strip `j / NR`. The
+/// last `n % NR` rows of `w` are `Wᵀ`'s ragged columns, which the
+/// kernel reads from `w` itself. `finite[kk]` receives whether row `kk`
+/// of `Wᵀ`, column `kk` of `w`, is entirely finite.
+///
+/// # Panics
+/// If `w` is not `n * k` long, `panel` not [`packed_len`]`(k, n)` or
+/// `finite` not `k`.
+// audit: no_alloc
+pub fn pack_transposed(n: usize, k: usize, w: &[f64], panel: &mut [f64], finite: &mut [bool]) {
+    assert_eq!(w.len(), n * k, "w buffer length must be n*k");
+    assert_eq!(panel.len(), packed_len(k, n), "panel length must be packed_len(k, n)");
+    assert_eq!(finite.len(), k, "finite length must be k");
+    finite.fill(true);
+    let full = n - n % NR;
+    // Strip by strip, each panel row gathers one column of the strip's
+    // `NR` rows of `w`; those rows stay in L1 across the strip.
+    for s in 0..full / NR {
+        let rows = &w[s * NR * k..(s + 1) * NR * k];
+        let strip = &mut panel[s * k * NR..(s + 1) * k * NR];
+        for (kk, (dst, ok)) in strip.chunks_exact_mut(NR).zip(finite.iter_mut()).enumerate() {
+            // `0 · v` is `±0.0` exactly when `v` is finite (NaN for NaN
+            // and ±inf), so with the sign bit shifted out, OR-ing the
+            // bits is a finiteness fold that vectorises.
+            let mut non_finite = 0;
+            for (slot, row) in dst.iter_mut().zip(rows.chunks_exact(k)) {
+                *slot = row[kk];
+                non_finite |= (0.0 * row[kk]).to_bits() << 1;
+            }
+            *ok &= non_finite == 0;
+        }
+    }
+    for row in w[full * k..].chunks_exact(k.max(1)) {
+        for (ok, v) in finite.iter_mut().zip(row) {
+            *ok &= v.is_finite();
+        }
+    }
+}
+
+/// The `k×n` rhs of one [`gemm_into`] call.
+#[derive(Debug, Clone, Copy)]
+pub enum Rhs<'a> {
+    /// Row-major `k×n`; strips load it with a stride of `n`.
+    RowMajor(&'a [f64]),
+    /// Row-major `k×n` with its [`pack_rhs`] panel, which the strips
+    /// stream; the ragged columns come from `b`.
+    Packed { b: &'a [f64], panel: &'a [f64] },
+    /// `Wᵀ` of the row-major `n×k` buffer `w`, with its
+    /// [`pack_transposed`] panel, which the strips stream; the ragged
+    /// columns are `w`'s last rows.
+    Transposed { w: &'a [f64], panel: &'a [f64] },
 }
 
 /// The strip path this process dispatches to: `"avx512"`, `"avx"` or
@@ -276,32 +401,35 @@ pub fn dispatched_isa() -> &'static str {
 
 /// Blocked matrix product `out = a · b` over raw row-major slices.
 ///
-/// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`. `rhs_row_finite(r)` must
-/// report whether row `r` of `b` is entirely finite; it is only
-/// consulted for row blocks holding a zero left-hand coefficient and
-/// at least one full strip, so a lazily-built mask costs nothing on
-/// fully dense inputs. `packed_b`, when given, must be the [`pack_rhs`]
-/// image of `b`; strips then stream the packed panel.
+/// `a` is `m×k`, `b` is the `k×n` [`Rhs`] view, `out` is `m×n`.
+/// `rhs_row_finite(r)` must report whether row `r` of `b` is entirely
+/// finite; it is only consulted for row blocks holding a zero left-hand
+/// coefficient and at least one full strip, so a lazily-built mask
+/// costs nothing on fully dense inputs.
 ///
 /// # Panics
 /// If any slice length disagrees with the given dimensions.
 // audit: no_alloc
-#[allow(clippy::too_many_arguments)] // a GEMM is its dimensions + operands
 pub fn gemm_into(
     m: usize,
     k: usize,
     n: usize,
     a: &[f64],
-    b: &[f64],
-    packed_b: Option<&[f64]>,
+    b: Rhs<'_>,
     mut rhs_row_finite: impl FnMut(usize) -> bool,
     out: &mut [f64],
 ) {
+    // Rhs element `(kk, j)` is `b_data[j * col_step + kk * row_step]`.
+    let (b_data, panel, col_step, row_step) = match b {
+        Rhs::RowMajor(b) => (b, None, 1, n),
+        Rhs::Packed { b, panel } => (b, Some(panel), 1, n),
+        Rhs::Transposed { w, panel } => (w, Some(panel), k, 1),
+    };
     assert_eq!(a.len(), m * k, "lhs buffer length must be m*k");
-    assert_eq!(b.len(), k * n, "rhs buffer length must be k*n");
+    assert_eq!(b_data.len(), k * n, "rhs buffer length must be k*n");
     assert_eq!(out.len(), m * n, "out buffer length must be m*n");
-    if let Some(p) = packed_b {
-        assert_eq!(p.len(), k * (n / NR) * NR, "packed rhs length must match pack_rhs(b)");
+    if let Some(p) = panel {
+        assert_eq!(p.len(), packed_len(k, n), "packed rhs length must be packed_len(k, n)");
     }
     if k == 0 {
         // Every element is an empty sum; `b` is zero-length, so the
@@ -309,7 +437,7 @@ pub fn gemm_into(
         out.fill(0.0);
         return;
     }
-    let g = Gemm { isa: simd::detect(), k, n, a, b, packed_b };
+    let g = Gemm { isa: simd::detect(), k, n, a, b: b_data, col_step, row_step, panel };
     stats::isa_call(g.isa);
     for jc in (0..n).step_by(NC) {
         let jc_end = (jc + NC).min(n);
@@ -345,8 +473,11 @@ struct Gemm<'a> {
     k: usize,
     n: usize,
     a: &'a [f64],
+    /// Rhs element `(kk, j)` is `b[j * col_step + kk * row_step]`.
     b: &'a [f64],
-    packed_b: Option<&'a [f64]>,
+    col_step: usize,
+    row_step: usize,
+    panel: Option<&'a [f64]>,
 }
 
 impl<'a> Gemm<'a> {
@@ -354,7 +485,7 @@ impl<'a> Gemm<'a> {
     /// (stride `NR`) or the raw row-major rhs (stride `n`).
     fn strip(&self, jt: usize, kc: usize) -> (&'a [f64], usize) {
         let (k, n) = (self.k, self.n);
-        match self.packed_b {
+        match self.panel {
             Some(p) => (&p[(jt / NR) * k * NR + kc * NR..(jt / NR + 1) * k * NR], NR),
             None => (&self.b[kc * n + jt..], n),
         }
@@ -375,7 +506,7 @@ impl<'a> Gemm<'a> {
             let (bs, stride) = self.strip(jt, 0);
             for i in (rows.start..rows.end).filter(|&i| !has_zero[i - rows.start]) {
                 let out_strip = &mut out[i * n + jt..i * n + jt + NR];
-                strip16_dense(self.isa, &self.a[i * k..(i + 1) * k], bs, stride, out_strip);
+                strip_dense(self.isa, &self.a[i * k..(i + 1) * k], bs, stride, out_strip);
             }
         }
     }
@@ -405,10 +536,7 @@ impl<'a> Gemm<'a> {
         }
         for kc in (0..k).step_by(KC) {
             let kc_end = (kc + KC).min(k);
-            let mut finite = [false; KC];
-            for (slot, kk) in finite.iter_mut().zip(kc..kc_end) {
-                *slot = rhs_row_finite(kk);
-            }
+            let finite = finite_bits((kc..kc_end).map(&mut *rhs_row_finite));
             for i in sparse() {
                 survivors.compact(i - rows.start, &self.a[i * k + kc..i * k + kc_end], &finite);
             }
@@ -418,7 +546,7 @@ impl<'a> Gemm<'a> {
                     let a_blk = &self.a[i * k + kc..i * k + kc_end];
                     let list = survivors.list(i - rows.start);
                     let out_strip = &mut out[i * n + jt..i * n + jt + NR];
-                    strip16_list(self.isa, a_blk, list, bs, stride, out_strip);
+                    strip_list(self.isa, a_blk, list, bs, stride, out_strip);
                 }
             }
         }
@@ -437,12 +565,50 @@ impl<'a> Gemm<'a> {
         for i in rows {
             let a_row = &self.a[i * k..(i + 1) * k];
             for j in cols.start..cols.end {
-                let col = self.b[j..].iter().step_by(n);
+                let col = self.b[j * self.col_step..].iter().step_by(self.row_step);
                 out[i * n + j] =
                     a_row.iter().zip(col).fold(0.0, |acc, (&a_ik, &bv)| acc + a_ik * bv);
             }
         }
     }
+}
+
+/// `KEEP_LISTS[mask]` holds the set bits of `mask` in ascending order,
+/// one per byte (little-endian), the rest zero: the offsets, within its
+/// group of 8 coefficients, of the terms a group with keep mask `mask`
+/// contributes. `KEEP_COUNTS[mask]` is how many there are; baseline
+/// x86-64 has no `popcnt`, so a lookup beats `count_ones`.
+static KEEP_LISTS: [u64; 256] = keep_table().0;
+static KEEP_COUNTS: [u8; 256] = keep_table().1;
+
+const fn keep_table() -> ([u64; 256], [u8; 256]) {
+    let (mut lists, mut counts) = ([0u64; 256], [0u8; 256]);
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut bit, mut kept) = (0, 0);
+        while bit < 8 {
+            if mask >> bit & 1 == 1 {
+                lists[mask] |= (bit as u64) << (8 * kept);
+                kept += 1;
+            }
+            bit += 1;
+        }
+        counts[mask] = kept as u8;
+        mask += 1;
+    }
+    (lists, counts)
+}
+
+/// One `k` block's rhs-row finiteness as [`Survivors::compact`] reads
+/// it: bit `t % 8` of byte `t / 8` is set when block row `t` is finite.
+/// Rows past the block count as finite, so the zero-padded tail of a
+/// ragged group keeps nothing.
+fn finite_bits(rows_finite: impl Iterator<Item = bool>) -> [u8; KC / 8] {
+    let mut bits = [u8::MAX; KC / 8];
+    for (t, finite) in rows_finite.enumerate() {
+        bits[t / 8] &= !(u8::from(!finite) << (t % 8));
+    }
+    bits
 }
 
 /// The surviving-`k` lists of one row block's zero-containing rows for
@@ -465,19 +631,41 @@ impl Survivors {
     }
 
     /// Replaces row `r`'s list with the survivors of `a_blk` (at most
-    /// [`KC`] coefficients; `finite[t]` is rhs row `t`'s finiteness).
-    /// Branch-free: every index is stored and the length advances only
-    /// for kept terms, so ReLU's unpredictable zeros cost no
-    /// mispredictions.
+    /// [`KC`] coefficients; bit `t % 8` of `finite[t / 8]` is rhs row
+    /// `t`'s finiteness, set for rows past `a_blk`). Branch-free and 8
+    /// coefficients at a time: the group's keep mask selects a
+    /// [`KEEP_LISTS`] entry, all 8 of its bytes are stored and the
+    /// length advances by the number kept, so ReLU's unpredictable
+    /// zeros cost no mispredictions.
     // audit: no_alloc
-    fn compact(&mut self, r: usize, a_blk: &[f64], finite: &[bool; KC]) {
+    fn compact(&mut self, r: usize, a_blk: &[f64], finite: &[u8; KC / 8]) {
         debug_assert!(a_blk.len() <= KC);
         let slot = &mut self.idx[r * KC..(r + 1) * KC];
         let mut len = 0;
-        for (t, (&a_ik, &fin)) in a_blk.iter().zip(finite).enumerate() {
-            // `len <= t < KC`, and `t` fits a `u8` because KC = 256.
-            slot[len] = MaybeUninit::new(t as u8);
-            len += usize::from(!((a_ik == 0.0) & fin));
+        let mut append = |g: usize, a8: &[f64; 8]| {
+            let mut nonzero = 0u8;
+            for (bit, &a_ik) in a8.iter().enumerate() {
+                nonzero |= u8::from(a_ik != 0.0) << bit;
+            }
+            let keep = usize::from(nonzero | !finite[g]);
+            // Offsets within the group are below 8 and `8 * g + 8 <= KC
+            // = 256`, so adding the group base to every byte never
+            // carries, and `len <= 8 * g` keeps the 8-byte store inside
+            // the slot.
+            let offsets = KEEP_LISTS[keep] + 8 * g as u64 * 0x0101_0101_0101_0101;
+            slot[len..len + 8].copy_from_slice(&offsets.to_le_bytes().map(MaybeUninit::new));
+            len += usize::from(KEEP_COUNTS[keep]);
+        };
+        let (groups, tail) = a_blk.as_chunks::<8>();
+        for (g, a8) in groups.iter().enumerate() {
+            append(g, a8);
+        }
+        if !tail.is_empty() {
+            // The ragged tail is padded with zeros, which its "finite"
+            // bits past the block then drop.
+            let mut padded = [0.0; 8];
+            padded[..tail.len()].copy_from_slice(tail);
+            append(groups.len(), &padded);
         }
         self.lens[r] = len;
     }
@@ -504,16 +692,16 @@ impl Survivors {
 /// portable fallback — produce bit-identical strips.
 // audit: no_alloc
 #[inline]
-fn strip16_dense(isa: simd::Isa, a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
+fn strip_dense(isa: simd::Isa, a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
     debug_assert_eq!(out.len(), NR);
     debug_assert!(a_row.is_empty() || (a_row.len() - 1) * stride + NR <= bs.len());
     #[cfg(target_arch = "x86_64")]
     match isa {
         // SAFETY: `detect` proved the feature; the debug asserts above
         // state the bounds contract the callers uphold.
-        simd::Isa::Avx512 => return unsafe { simd::strip16_avx512(a_row, bs, stride, out) },
+        simd::Isa::Avx512 => return unsafe { simd::strip_avx512(a_row, bs, stride, out) },
         // SAFETY: same contract as the AVX-512 arm, with AVX proved.
-        simd::Isa::Avx => return unsafe { simd::strip16_avx(a_row, bs, stride, out) },
+        simd::Isa::Avx => return unsafe { simd::strip_avx(a_row, bs, stride, out) },
         simd::Isa::Portable => {}
     }
     let _ = isa;
@@ -532,11 +720,11 @@ fn strip16_dense(isa: simd::Isa, a_row: &[f64], bs: &[f64], stride: usize, out: 
 /// in list order, starting from the partial sums `out` already holds.
 ///
 /// The same per-element unfused mul-then-add sequence as
-/// [`strip16_dense`], restricted to the listed terms and dispatched the
+/// [`strip_dense`], restricted to the listed terms and dispatched the
 /// same way, so every ISA path stays bit-identical.
 // audit: no_alloc
 #[inline]
-fn strip16_list(
+fn strip_list(
     isa: simd::Isa,
     a_blk: &[f64],
     list: &[u8],
@@ -551,10 +739,10 @@ fn strip16_list(
         simd::Isa::Avx512 => {
             // SAFETY: `detect` proved the feature; the debug asserts
             // above state the bounds contract the callers uphold.
-            return unsafe { simd::strip16_list_avx512(a_blk, list, bs, stride, out) };
+            return unsafe { simd::strip_list_avx512(a_blk, list, bs, stride, out) };
         }
         // SAFETY: same contract as the AVX-512 arm, with AVX proved.
-        simd::Isa::Avx => return unsafe { simd::strip16_list_avx(a_blk, list, bs, stride, out) },
+        simd::Isa::Avx => return unsafe { simd::strip_list_avx(a_blk, list, bs, stride, out) },
         simd::Isa::Portable => {}
     }
     let _ = isa;
@@ -572,7 +760,7 @@ fn strip16_list(
 
 /// Explicit-SIMD strip micro-kernels for the dense and compacted paths.
 ///
-/// LLVM's SLP pass does not vectorise the 16 cross-iteration reduction
+/// LLVM's SLP pass does not vectorise the 32 cross-iteration reduction
 /// chains of the portable strips (they compile to unrolled scalar
 /// `mulsd`/`addsd`), so the hot strips are written with `std::arch`
 /// intrinsics. Only unfused `mul` + `add` are used — **never** FMA,
@@ -582,9 +770,9 @@ mod simd {
     /// Widest instruction set available on the running host.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Isa {
-        /// AVX-512F: two 8-lane accumulators per strip.
+        /// AVX-512F: four 8-lane accumulators per strip.
         Avx512,
-        /// AVX: four 4-lane accumulators per strip.
+        /// AVX: eight 4-lane accumulators per strip.
         Avx,
         /// No SIMD dispatch; the safe fallback loop runs.
         Portable,
@@ -631,11 +819,11 @@ mod simd {
 
     /// # Safety
     /// AVX must be available, and `bs` must cover every strip row:
-    /// `(a_row.len() - 1) * stride + 16 <= bs.len()` (upheld by the
+    /// `(a_row.len() - 1) * stride + 32 <= bs.len()` (upheld by the
     /// slicing in `Gemm::strip` for both the packed and direct layouts).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
-    pub unsafe fn strip16_avx(a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
+    pub unsafe fn strip_avx(a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
         use std::arch::x86_64::*;
         debug_assert!(a_row.is_empty() || (a_row.len() - 1) * stride + super::NR <= bs.len());
         debug_assert_eq!(out.len(), super::NR);
@@ -643,61 +831,59 @@ mod simd {
         // every `bp` load and `op` store in-bounds; unaligned intrinsics
         // are used throughout, so no alignment requirement exists.
         unsafe {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut acc2 = _mm256_setzero_pd();
-            let mut acc3 = _mm256_setzero_pd();
+            let mut acc = [_mm256_setzero_pd(); super::NR / 4];
             let mut bp = bs.as_ptr();
             for &a_ik in a_row {
                 let av = _mm256_set1_pd(a_ik);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, _mm256_loadu_pd(bp)));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(4))));
-                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(8))));
-                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(12))));
+                for (lane, acc) in acc.iter_mut().enumerate() {
+                    let bv = _mm256_loadu_pd(bp.add(4 * lane));
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, bv));
+                }
                 bp = bp.add(stride);
             }
             let op = out.as_mut_ptr();
-            _mm256_storeu_pd(op, acc0);
-            _mm256_storeu_pd(op.add(4), acc1);
-            _mm256_storeu_pd(op.add(8), acc2);
-            _mm256_storeu_pd(op.add(12), acc3);
+            for (lane, acc) in acc.into_iter().enumerate() {
+                _mm256_storeu_pd(op.add(4 * lane), acc);
+            }
         }
     }
 
     /// # Safety
-    /// As [`strip16_avx`], with AVX-512F available.
+    /// As [`strip_avx`], with AVX-512F available.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn strip16_avx512(a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
+    pub unsafe fn strip_avx512(a_row: &[f64], bs: &[f64], stride: usize, out: &mut [f64]) {
         use std::arch::x86_64::*;
         debug_assert!(a_row.is_empty() || (a_row.len() - 1) * stride + super::NR <= bs.len());
         debug_assert_eq!(out.len(), super::NR);
-        // SAFETY: as in `strip16_avx` — contract-bounded unaligned
+        // SAFETY: as in `strip_avx` — contract-bounded unaligned
         // loads/stores only.
         unsafe {
-            let mut acc0 = _mm512_setzero_pd();
-            let mut acc1 = _mm512_setzero_pd();
+            let mut acc = [_mm512_setzero_pd(); super::NR / 8];
             let mut bp = bs.as_ptr();
             for &a_ik in a_row {
                 let av = _mm512_set1_pd(a_ik);
-                acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, _mm512_loadu_pd(bp)));
-                acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, _mm512_loadu_pd(bp.add(8))));
+                for (lane, acc) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_loadu_pd(bp.add(8 * lane));
+                    *acc = _mm512_add_pd(*acc, _mm512_mul_pd(av, bv));
+                }
                 bp = bp.add(stride);
             }
             let op = out.as_mut_ptr();
-            _mm512_storeu_pd(op, acc0);
-            _mm512_storeu_pd(op.add(8), acc1);
+            for (lane, acc) in acc.into_iter().enumerate() {
+                _mm512_storeu_pd(op.add(8 * lane), acc);
+            }
         }
     }
 
     /// # Safety
-    /// AVX must be available, `out` must hold 16 elements, and `bs` must
+    /// AVX must be available, `out` must hold 32 elements, and `bs` must
     /// cover every row `a_blk` can index: `(a_blk.len() - 1) * stride +
-    /// 16 <= bs.len()`. List entries index `a_blk` with a bounds check,
+    /// 32 <= bs.len()`. List entries index `a_blk` with a bounds check,
     /// so any list is sound.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
-    pub unsafe fn strip16_list_avx(
+    pub unsafe fn strip_list_avx(
         a_blk: &[f64],
         list: &[u8],
         bs: &[f64],
@@ -708,35 +894,34 @@ mod simd {
         debug_assert!(a_blk.is_empty() || (a_blk.len() - 1) * stride + super::NR <= bs.len());
         debug_assert_eq!(out.len(), super::NR);
         // SAFETY: `a_blk[t]` is checked, so `t < a_blk.len()` and the
-        // fn's contract puts all 16 `bp` lanes inside `bs`; `op` covers
-        // `out`'s 16 elements. Unaligned intrinsics only.
+        // fn's contract puts all 32 `bp` lanes inside `bs`; `op` covers
+        // `out`'s 32 elements. Unaligned intrinsics only.
         unsafe {
             let op = out.as_mut_ptr();
-            let mut acc0 = _mm256_loadu_pd(op);
-            let mut acc1 = _mm256_loadu_pd(op.add(4));
-            let mut acc2 = _mm256_loadu_pd(op.add(8));
-            let mut acc3 = _mm256_loadu_pd(op.add(12));
+            let mut acc = [_mm256_setzero_pd(); super::NR / 4];
+            for (lane, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_loadu_pd(op.add(4 * lane));
+            }
             for &t in list {
                 let t = usize::from(t);
                 let av = _mm256_set1_pd(a_blk[t]);
                 let bp = bs.as_ptr().add(t * stride);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, _mm256_loadu_pd(bp)));
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(4))));
-                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(8))));
-                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, _mm256_loadu_pd(bp.add(12))));
+                for (lane, acc) in acc.iter_mut().enumerate() {
+                    let bv = _mm256_loadu_pd(bp.add(4 * lane));
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, bv));
+                }
             }
-            _mm256_storeu_pd(op, acc0);
-            _mm256_storeu_pd(op.add(4), acc1);
-            _mm256_storeu_pd(op.add(8), acc2);
-            _mm256_storeu_pd(op.add(12), acc3);
+            for (lane, acc) in acc.into_iter().enumerate() {
+                _mm256_storeu_pd(op.add(4 * lane), acc);
+            }
         }
     }
 
     /// # Safety
-    /// As [`strip16_list_avx`], with AVX-512F available.
+    /// As [`strip_list_avx`], with AVX-512F available.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn strip16_list_avx512(
+    pub unsafe fn strip_list_avx512(
         a_blk: &[f64],
         list: &[u8],
         bs: &[f64],
@@ -746,21 +931,26 @@ mod simd {
         use std::arch::x86_64::*;
         debug_assert!(a_blk.is_empty() || (a_blk.len() - 1) * stride + super::NR <= bs.len());
         debug_assert_eq!(out.len(), super::NR);
-        // SAFETY: as in `strip16_list_avx` — checked `t`, then
+        // SAFETY: as in `strip_list_avx` — checked `t`, then
         // contract-bounded unaligned loads/stores only.
         unsafe {
             let op = out.as_mut_ptr();
-            let mut acc0 = _mm512_loadu_pd(op);
-            let mut acc1 = _mm512_loadu_pd(op.add(8));
+            let mut acc = [_mm512_setzero_pd(); super::NR / 8];
+            for (lane, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm512_loadu_pd(op.add(8 * lane));
+            }
             for &t in list {
                 let t = usize::from(t);
                 let av = _mm512_set1_pd(a_blk[t]);
                 let bp = bs.as_ptr().add(t * stride);
-                acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, _mm512_loadu_pd(bp)));
-                acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, _mm512_loadu_pd(bp.add(8))));
+                for (lane, acc) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_loadu_pd(bp.add(8 * lane));
+                    *acc = _mm512_add_pd(*acc, _mm512_mul_pd(av, bv));
+                }
             }
-            _mm512_storeu_pd(op, acc0);
-            _mm512_storeu_pd(op.add(8), acc1);
+            for (lane, acc) in acc.into_iter().enumerate() {
+                _mm512_storeu_pd(op.add(8 * lane), acc);
+            }
         }
     }
 }
@@ -804,15 +994,16 @@ impl Matrix {
             scratch.ensure_pack(rhs);
         }
         // Split borrows: the mask closure must not alias the pack.
-        let GemmScratch { finite, pack, packed } = scratch;
-        let packed_b = if use_pack && *packed { Some(pack.as_slice()) } else { None };
+        let GemmScratch { finite, pack, .. } = scratch;
+        let b = rhs.as_slice();
+        let rhs_view =
+            if use_pack { Rhs::Packed { b, panel: pack.as_slice() } } else { Rhs::RowMajor(b) };
         gemm_into(
             self.rows(),
             self.cols(),
             rhs.cols(),
             self.as_slice(),
-            rhs.as_slice(),
-            packed_b,
+            rhs_view,
             |r| finite.get_or_insert_with(|| row_finiteness(rhs))[r],
             out,
         );
@@ -830,17 +1021,17 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive_across_strip_boundaries() {
-        // Widths straddling the NR=16 strip edge and the NC=256
+        // Widths straddling the NR=32 strip edge and the NC=256
         // column-block edge (so the jc loop runs more than once, and
         // packed-strip offsets are exercised in a second block), and
         // heights straddling the MC block and PACK_MIN_ROWS edges.
         for (rows, k, cols) in [
             (1, 3, 1),
-            (5, 7, 15),
-            (3, 4, 16),
-            (2, 9, 17),
-            (8, 4, 16),
-            (70, 5, 33),
+            (5, 7, 31),
+            (3, 4, 32),
+            (2, 9, 33),
+            (8, 4, 32),
+            (70, 5, 65),
             (3, 4, 300),
             (9, 6, 513),
         ] {
@@ -935,13 +1126,109 @@ mod tests {
         let k = 3;
         let n = 2 * NR + 3;
         let b: Vec<f64> = (0..k * n).map(|i| i as f64).collect();
-        let mut pack = vec![999.0; 1]; // cleared and reused
+        let mut pack = AlignedBuf::default();
+        pack.resize(5 * n).fill(999.0); // overwritten and shrunk
         pack_rhs(k, n, &b, &mut pack);
+        let pack = pack.as_slice();
         assert_eq!(pack.len(), k * 2 * NR);
         // Strip 0, k row 1 starts at b[n + 0].
         assert_eq!(pack[NR], b[n]);
         // Strip 1, k row 0 starts at b[NR].
         assert_eq!(pack[k * NR..k * NR + NR], b[NR..2 * NR]);
+    }
+
+    #[test]
+    fn aligned_buf_starts_on_a_cache_line() {
+        let mut buf = AlignedBuf::default();
+        for len in [1, 7, 64, 1000, 3, 4096] {
+            let data = buf.resize(len);
+            assert_eq!(data.len(), len);
+            // Miri may decline to align; the contents stay correct.
+            if !cfg!(miri) {
+                assert_eq!(data.as_ptr().align_offset(64), 0, "len {len}");
+            }
+            data.iter_mut().enumerate().for_each(|(i, v)| *v = i as f64);
+            assert!(buf.as_slice().iter().enumerate().all(|(i, &v)| v == i as f64));
+            assert_eq!(buf.clone().as_slice(), buf.as_slice());
+        }
+    }
+
+    /// `pack_transposed` of `W` is `pack_rhs` of `Wᵀ`, its finiteness is
+    /// `row_finiteness(Wᵀ)`, and the transposed view multiplies exactly
+    /// as the materialised `Wᵀ` does, ragged columns and zero
+    /// coefficients against a non-finite row included.
+    #[test]
+    fn transposed_view_matches_materialised_transpose() {
+        // Miri interprets every flop, so it skips the block-crossing shape.
+        let shapes = [(3usize, 2 * NR + 5, 7usize), (40, NR, 3), (5, 9, 4), (66, 70, 130)];
+        for (rows, n, k) in shapes.into_iter().take(if cfg!(miri) { 3 } else { 4 }) {
+            let mut w: Vec<f64> = (0..n * k).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
+            w[2 * k + 1] = f64::NAN; // column 1 of `w`: row 1 of `Wᵀ`
+            let w_m = m(n, k, &w);
+            let wt = w_m.transpose();
+            let mut want_panel = AlignedBuf::default();
+            pack_rhs(k, n, wt.as_slice(), &mut want_panel);
+            let mut panel = vec![f64::NAN; packed_len(k, n)];
+            let mut finite = vec![false; k];
+            pack_transposed(n, k, &w, &mut panel, &mut finite);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&panel), bits(want_panel.as_slice()));
+            assert_eq!(finite, row_finiteness(&wt));
+
+            // Half-zero lhs rows, so the skip rule meets the NaN row.
+            let a_data: Vec<f64> = (0..rows * k)
+                .map(|i| if i % 2 == 0 { 0.0 } else { (i % 7) as f64 - 3.0 })
+                .collect();
+            let a = m(rows, k, &a_data);
+            let want = naive_matmul(&a, &wt);
+            let mut out = vec![f64::NAN; rows * n];
+            let view = Rhs::Transposed { w: &w, panel: &panel };
+            gemm_into(rows, k, n, &a_data, view, |r| finite[r], &mut out);
+            for (got, want) in out.iter().zip(want.as_slice()) {
+                assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
+            }
+        }
+    }
+
+    /// The scalar keep rule the table-driven compaction must reproduce.
+    fn scalar_survivors(a_blk: &[f64], finite: &[bool]) -> Vec<u8> {
+        (0..a_blk.len()).filter(|&t| !(a_blk[t] == 0.0 && finite[t])).map(|t| t as u8).collect()
+    }
+
+    #[test]
+    fn table_compaction_matches_the_scalar_rule() {
+        let mut survivors = Survivors::new();
+        // Every keep mask in every group position of a full block.
+        for mask in 0..256usize {
+            let a_blk: Vec<f64> = (0..KC)
+                .map(|t| if (mask >> (t % 8)) & 1 == 1 { 1.0 + t as f64 } else { 0.0 })
+                .collect();
+            let finite = [true; KC];
+            survivors.compact(3, &a_blk, &finite_bits(finite.into_iter()));
+            assert_eq!(survivors.list(3), scalar_survivors(&a_blk, &finite), "mask {mask:#010b}");
+        }
+        // Lengths that are not multiples of 8, mixed signs of zero, and
+        // zero coefficients kept because their rhs row is non-finite.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in (0..=KC).filter(|len| len % 8 != 0 || *len == KC) {
+            let a_blk: Vec<f64> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (next() % 100) as f64 - 50.5,
+                })
+                .collect();
+            let finite: Vec<bool> = (0..len).map(|_| next() % 5 != 0).collect();
+            let r = len % MC;
+            survivors.compact(r, &a_blk, &finite_bits(finite.iter().copied()));
+            assert_eq!(survivors.list(r), scalar_survivors(&a_blk, &finite), "len {len}");
+        }
     }
 
     #[test]

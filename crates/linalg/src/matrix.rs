@@ -235,8 +235,7 @@ impl Matrix {
             self.cols,
             1,
             &self.data,
-            v,
-            None,
+            crate::gemm::Rhs::RowMajor(v),
             |r| v[r].is_finite(),
             &mut out,
         );

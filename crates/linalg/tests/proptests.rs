@@ -31,7 +31,8 @@ fn poisoned_cell() -> impl Strategy<Value = f64> {
 /// Strategy: an `(a, b)` operand pair of compatible random shapes.
 ///
 /// Most cases are small — heights straddling the pack threshold and
-/// block size, widths straddling the register-strip width — with cells
+/// block size, widths crossing up to two 32-column register strips into
+/// the ragged remainder — with cells
 /// that may be zero or non-finite and whole lhs rows sometimes forced to
 /// all zeros. One case in three is ReLU-shaped instead: about half the
 /// lhs cells are exactly `0.0`, `m` runs past the 64-row block and `k`
@@ -43,7 +44,7 @@ fn gemm_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
         // product, so it keeps to the small shapes.
         let relu = draw == 0 && !cfg!(miri);
         let (m_max, k_max) = if relu { (150, 320) } else { (12, 10) };
-        (Just(relu), 1usize..m_max, 1usize..k_max, 1usize..40)
+        (Just(relu), 1usize..m_max, 1usize..k_max, 1usize..72)
     });
     shape.prop_flat_map(|(relu, m, k, n)| {
         let a = prop::collection::vec((poisoned_cell(), -10.0..10.0f64), m * k);

@@ -3,8 +3,7 @@
 use crate::adam::{AdamParams, AdamState};
 use rand::Rng;
 use std::sync::OnceLock;
-use uadb_linalg::gemm;
-use uadb_linalg::matrix::transpose_into;
+use uadb_linalg::gemm::{self, AlignedBuf, Rhs};
 use uadb_linalg::Matrix;
 
 /// Whether row `r` of the row-major buffer `m` (rows `width` wide) is
@@ -34,7 +33,7 @@ pub(crate) fn row_is_finite(m: &[f64], width: usize, r: usize) -> bool {
 #[derive(Debug, Clone, Default)]
 struct WeightCache {
     row_finite: Vec<bool>,
-    pack: Vec<f64>,
+    pack: AlignedBuf,
 }
 
 impl WeightCache {
@@ -158,8 +157,7 @@ impl Linear {
             in_dim,
             out_dim,
             x,
-            self.w.as_slice(),
-            Some(&cache.pack),
+            Rhs::Packed { b: self.w.as_slice(), panel: cache.pack.as_slice() },
             |r| cache.row_finite[r],
             out,
         );
@@ -212,9 +210,15 @@ impl Linear {
 
     /// Gradient w.r.t. the input over raw row-major slices:
     /// `grad_in = grad_out · Wᵀ` on the dispatched [`gemm::gemm_into`]
-    /// strips. `wt` is caller scratch of `in · out` elements; it
-    /// receives `Wᵀ`, the GEMM's row-major rhs, whose row finiteness
-    /// gates the zero-coefficient skip. Nothing is allocated.
+    /// strips. `wt` is caller scratch of
+    /// [`gemm::packed_len`]`(out, in)` elements, best 64-byte aligned
+    /// (an [`AlignedBuf`]); it receives the strip-major panel of `Wᵀ`'s
+    /// full [`gemm::NR`]-column strips, packed in one pass over `W` by
+    /// [`gemm::pack_transposed`]. `wt_finite` (`out` entries) receives
+    /// `Wᵀ`'s row finiteness, `W`'s column finiteness, from the same
+    /// pass; it gates the zero-coefficient skip. `Wᵀ`'s ragged
+    /// `in % NR` columns are read from `W`'s last rows. Nothing is
+    /// allocated.
     ///
     /// Each element adds its terms in ascending output order with
     /// unfused mul then add, as the `grad_x` half of
@@ -233,15 +237,17 @@ impl Linear {
         grad_out: &[f64],
         batch: usize,
         wt: &mut [f64],
+        wt_finite: &mut [bool],
         grad_in: &mut [f64],
     ) {
         let (in_dim, out_dim) = self.w.shape();
         assert_eq!(grad_out.len(), batch * out_dim, "grad_out length must be batch*out");
         assert_eq!(grad_in.len(), batch * in_dim, "grad_in length must be batch*in");
-        transpose_into(in_dim, out_dim, self.w.as_slice(), wt);
-        let wt = &*wt;
-        let finite = |o| row_is_finite(wt, in_dim, o);
-        gemm::gemm_into(batch, out_dim, in_dim, grad_out, wt, None, finite, grad_in);
+        let w = self.w.as_slice();
+        gemm::pack_transposed(in_dim, out_dim, w, wt, wt_finite);
+        let (panel, finite) = (&*wt, &*wt_finite);
+        let rhs = Rhs::Transposed { w, panel };
+        gemm::gemm_into(batch, out_dim, in_dim, grad_out, rhs, |o| finite[o], grad_in);
     }
 
     /// Mutable access to the accumulated gradient buffers

@@ -4,8 +4,9 @@
 //! [`TrainScratch`] owns every buffer one optimiser step needs — the
 //! batch-gather buffer (replacing per-chunk `select_rows`), the
 //! retained per-layer activation inputs backprop reads, the per-layer
-//! gradient matrices, the gathered target column, and the transposed
-//! operands of the two backward products — all grow-once, so a
+//! gradient matrices, the gathered target column, and the operands of
+//! the two backward products (`xᵀ`, and the packed `Wᵀ` panel with its
+//! row finiteness) — all grow-once, so a
 //! training loop allocates nothing at steady state (the layer
 //! parameter gradients and the packed rhs panels are likewise recycled
 //! inside [`crate::linear::Linear`]).
@@ -16,11 +17,21 @@
 //! and lands on exactly the weights of the historic
 //! `forward_cached` + `backward_and_step` loop. The forward pass makes
 //! the same GEMM calls on the same rows. Both backward products run on
-//! the dispatched [`gemm_into`] strips, each over one transposed
-//! operand and with the rhs's true row finiteness:
+//! the dispatched [`gemm_into`] strips, with the rhs's true row
+//! finiteness:
 //!
-//! * `grad_in = g·Wᵀ` in [`Linear::backward_input_into`];
-//! * `grad_w = xᵀ·g` in the weight phase.
+//! * `grad_in = g·Wᵀ` in [`Linear::backward_input_into`], over `Wᵀ`
+//!   packed strip-major straight from `W`;
+//! * `grad_w = xᵀ·g` in the weight phase, over `xᵀ` transposed into
+//!   the scratch.
+//!
+//! Packing `Wᵀ` moves no sum. The panel holds, at the position the
+//! strips read for `Wᵀ[o][j]`, exactly `W[j][o]`; the ragged columns
+//! read the same value from `W`'s row `j`; and the strips walk `o` in
+//! ascending order as they did over the materialised `Wᵀ`. The skip
+//! rule reads `W`'s column finiteness, which is `Wᵀ`'s row finiteness,
+//! so the same terms are skipped. Every output element therefore sees
+//! the same operands in the same order.
 //!
 //! Every element still adds its terms in ascending order (output units
 //! for `grad_in`, batch rows for `grad_w`) with unfused mul then add, as
@@ -39,6 +50,12 @@
 //!
 //! Every consumer of `grad_in` is blind to the sign of a zero. The ReLU
 //! gate overwrites it with `+0.0` wherever the layer input is `<= 0`.
+//! The gate is written as a select, `g = if a <= 0.0 { 0.0 } else { g }`,
+//! which gives the historic conditional store's bits for every `a`
+//! (NaN fails the test and keeps `g`; `-0.0` passes it) but compiles to
+//! a blend: ReLU's zeros are random, and a branch on them mispredicts
+//! about half the time. On a 2-vCPU AVX-512 Xeon both gates of a 31-row
+//! booster step took 7–13 µs as a branch and 2.4–3.7 µs as a select.
 //! Where it survives, it is one term of `grad_b` and of `grad_w`, both
 //! sums that start at `+0.0`, and a coefficient of the next layer's
 //! `grad_in`, where a `±0.0` coefficient makes a `±0.0` term. So the
@@ -57,7 +74,7 @@
 use crate::adam::AdamParams;
 use crate::linear::{row_is_finite, Linear};
 use crate::mlp::{relu_slice, sigmoid_slice, Activation, Mlp};
-use uadb_linalg::gemm::gemm_into;
+use uadb_linalg::gemm::{gemm_into, packed_len, AlignedBuf, Rhs};
 use uadb_linalg::matrix::transpose_into;
 use uadb_linalg::Matrix;
 
@@ -78,8 +95,11 @@ pub struct TrainScratch {
     grads: Vec<Vec<f64>>,
     /// Batch-aligned regression targets, gathered with the rows.
     targets: Vec<f64>,
-    /// `Wᵀ` of the layer whose input gradient is being computed.
-    wt: Vec<f64>,
+    /// The packed `Wᵀ` panel of the layer whose input gradient is being
+    /// computed (see [`Linear::backward_input_into`]).
+    wt: AlignedBuf,
+    /// That `Wᵀ`'s row finiteness.
+    wt_finite: Vec<bool>,
     /// `xᵀ` of the layer whose weight gradient is being computed.
     xt: Vec<f64>,
 }
@@ -119,9 +139,17 @@ impl TrainScratch {
         // Layer 0's input gradient is never computed, so its `Wᵀ` is
         // never needed.
         let layers = mlp.layers();
-        let need_wt = layers[1..].iter().map(|l| l.input_dim() * l.output_dim()).max().unwrap_or(0);
-        if self.wt.len() < need_wt {
-            self.wt.resize(need_wt, 0.0);
+        let need_wt = layers[1..]
+            .iter()
+            .map(|l| packed_len(l.output_dim(), l.input_dim()))
+            .max()
+            .unwrap_or(0);
+        if self.wt.as_slice().len() < need_wt {
+            self.wt.resize(need_wt);
+        }
+        let need_finite = layers[1..].iter().map(Linear::output_dim).max().unwrap_or(0);
+        if self.wt_finite.len() < need_finite {
+            self.wt_finite.resize(need_finite, false);
         }
         let need_xt = batch * layers.iter().map(Linear::input_dim).max().unwrap_or(0);
         if self.xt.len() < need_xt {
@@ -192,13 +220,13 @@ pub(crate) fn train_batch_step(
     objective: &Objective<'_>,
     hp: &AdamParams,
 ) -> f64 {
-    let TrainScratch { inputs, output, grads, targets, wt, xt } = scratch;
+    let TrainScratch { inputs, output, grads, targets, wt, wt_finite, xt } = scratch;
     let loss = match objective {
         Objective::Mse => BatchLoss::Mse { targets: &targets[..batch] },
         Objective::Svdd { center } => BatchLoss::Svdd { center },
     };
     let output = &mut output[..batch * mlp.output_dim()];
-    row_phase(mlp, inputs, output, grads, wt, batch, loss);
+    row_phase(mlp, inputs, output, grads, (wt.as_mut_slice(), wt_finite), batch, loss);
     let total = loss_sum(output, loss);
 
     // --- Weight phase and optimiser, in forward layer order (as the
@@ -214,7 +242,7 @@ pub(crate) fn train_batch_step(
         let (grad_w, grad_b) = layer.grads_mut();
         accumulate_grad_b(g, lout, grad_b);
         // grad_w = xᵀ·g, summed over the batch rows in ascending order.
-        gemm_into(lin, batch, lout, xt, g, None, |r| row_is_finite(g, lout, r), grad_w);
+        gemm_into(lin, batch, lout, xt, Rhs::RowMajor(g), |r| row_is_finite(g, lout, r), grad_w);
         layer.apply_adam(hp);
     }
     total
@@ -223,7 +251,7 @@ pub(crate) fn train_batch_step(
 /// Forward pass, loss gradient and backward chain over the batch's
 /// `rows` rows: `inputs[i]` receives layer `i`'s input, `output` the
 /// post-activation head, `grads[i]` layer `i`'s pre-activation
-/// gradient. `wt` is the transpose scratch of
+/// gradient. `wt` is the `Wᵀ` panel and finiteness scratch of
 /// [`Linear::backward_input_into`].
 // audit: no_alloc
 fn row_phase(
@@ -231,10 +259,11 @@ fn row_phase(
     inputs: &mut [Vec<f64>],
     output: &mut [f64],
     grads: &mut [Vec<f64>],
-    wt: &mut [f64],
+    wt: (&mut [f64], &mut [bool]),
     rows: usize,
     loss: BatchLoss<'_>,
 ) {
+    let (wt, wt_finite) = wt;
     let last = mlp.n_layers() - 1;
     let b = rows as f64;
     // Forward: layer i reads its input rows and writes its output rows
@@ -280,17 +309,18 @@ fn row_phase(
     }
     // Backward chain: grads[i-1] = relu-gate(grads[i] · Wᵢᵀ), gated on
     // layer i's stored input rows — the gate the historic path applies
-    // before each layer's backward call.
+    // before each layer's backward call, written as a select (see the
+    // module docs).
     for i in (1..=last).rev() {
         let layer = mlp.layer(i);
         let (lin, lout) = (layer.input_dim(), layer.output_dim());
         let (g_lo, g_hi) = grads.split_at_mut(i);
         let g_in = &mut g_lo[i - 1][..rows * lin];
-        layer.backward_input_into(&g_hi[0][..rows * lout], rows, &mut wt[..lin * lout], g_in);
+        let panel = &mut wt[..packed_len(lout, lin)];
+        let g_out = &g_hi[0][..rows * lout];
+        layer.backward_input_into(g_out, rows, panel, &mut wt_finite[..lout], g_in);
         for (g, &a) in g_in.iter_mut().zip(&inputs[i]) {
-            if a <= 0.0 {
-                *g = 0.0;
-            }
+            *g = if a <= 0.0 { 0.0 } else { *g };
         }
     }
 }

@@ -128,15 +128,16 @@ proptest! {
     /// The determinism contract: the scratch engine lands on
     /// *bit-identical* weights to the legacy
     /// `forward_cached`/`backward_and_step` loop — including ragged
-    /// final batches. Hidden widths cross the GEMM's 16-wide strip, so
-    /// both backward products run SIMD strips and remainder columns.
+    /// final batches. Hidden widths reach past two of the GEMM's
+    /// 32-wide strips, so both backward products, the packed `Wᵀ`
+    /// included, run whole strips (multiples of 32) and ragged widths.
     #[test]
     fn scratch_training_bit_matches_legacy(
         seed in 0u64..64,
         n in 5usize..21,
         batch in 1usize..9,
-        h1 in 1usize..41,
-        h2 in 1usize..41,
+        h1 in 1usize..73,
+        h2 in 1usize..73,
     ) {
         let x = Matrix::from_vec(
             n,
@@ -168,14 +169,14 @@ proptest! {
 
     /// Same contract for the SVDD objective (multi-column output
     /// exercises the grad-row layout and the identity head). The hidden
-    /// and output widths cross the 16-wide strip.
+    /// and output widths reach past two 32-wide strips.
     #[test]
     fn svdd_scratch_training_bit_matches_legacy(
         seed in 0u64..48,
         n in 4usize..17,
         batch in 1usize..7,
-        hidden in 1usize..41,
-        out in 1usize..41,
+        hidden in 1usize..73,
+        out in 1usize..73,
     ) {
         let x = Matrix::from_vec(
             n,
@@ -232,6 +233,36 @@ fn scratch_training_bit_matches_legacy_across_gemm_blocks() {
         batch_size: 300,
         epochs: 2,
         shuffle_seed: 5,
+        progress: None,
+    };
+    let mut reference = build();
+    legacy_train_regression(&mut reference, &x, &targets, &cfg);
+    let mut mlp = build();
+    train_regression(&mut mlp, &x, &targets, &cfg);
+    assert!(weight_bits(&mlp) == weight_bits(&reference), "diverged from legacy loop");
+}
+
+/// The bit-identity contract at the booster's real training shape: one
+/// `6_cardio` fold member, 18 → 128 → 128 → 1 over 504 rows at its
+/// effective batch of 31 (16 full batches and an 8-row tail per epoch).
+/// Every hidden product runs four whole 32-column strips, and the
+/// packed `Wᵀ` of both the hidden layer and the head.
+#[test]
+fn scratch_training_bit_matches_legacy_at_booster_shape() {
+    let n = 504;
+    let x = Matrix::from_vec(
+        n,
+        18,
+        (0..n * 18).map(|i| ((i as f64) * 0.41 + 0.3).sin() * 2.0 - 0.2).collect(),
+    )
+    .unwrap();
+    let targets: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 97) as f64 / 96.0).collect();
+    let build = || Mlp::new(&MlpConfig::booster(18, 11));
+    let cfg = TrainConfig {
+        adam: AdamParams::default(),
+        batch_size: 31,
+        epochs: 2,
+        shuffle_seed: 23,
         progress: None,
     };
     let mut reference = build();
