@@ -6,8 +6,10 @@
 //! (every score is standardise → matmul chain → sigmoid), so this bench
 //! is the regression gate for any `uadb_linalg` change. The `naive_*`
 //! cases run the historic i/k/j triple loop verbatim, so one run shows
-//! the blocked kernel's speedup directly; `relu_into_256x128x128` is a
-//! half-zero hidden-layer input on the compacted path; `forward_pass/*`
+//! the blocked kernel's speedup directly; `dense_into_*` and
+//! `relu_into_256x128x128` (a half-zero hidden-layer input on the
+//! compacted path) call `gemm_into` on a prepacked panel with the rhs
+//! finiteness flag, as `Linear::forward_into` does; `forward_pass/*`
 //! covers the end-to-end booster forward at serving batch shapes (1
 //! row, 256 rows, 8k rows) for both the allocating `Mlp::forward` and
 //! the zero-allocation `Mlp::forward_scored` paths.
@@ -19,8 +21,21 @@ mod common;
 
 use common::{filled_matrix, samples};
 use criterion::{black_box, criterion_group, Criterion};
-use uadb_linalg::gemm::{naive_matmul, GemmScratch};
+use uadb_linalg::gemm::{all_finite, gemm_into, naive_matmul, pack_rhs, AlignedBuf, Rhs};
+use uadb_linalg::Matrix;
 use uadb_nn::{Activation, ForwardScratch, Mlp, MlpConfig};
+
+/// `a · b` into `out` the way a layer's forward pass runs it: over
+/// `b`'s prepacked panel, with `b`'s finiteness flag computed once.
+fn packed_product<'a>(a: &'a Matrix, b: &'a Matrix) -> impl FnMut(&mut [f64]) + 'a {
+    let mut pack = AlignedBuf::default();
+    pack_rhs(b.rows(), b.cols(), b.as_slice(), &mut pack);
+    let finite = all_finite(b.as_slice());
+    move |out| {
+        let rhs = Rhs::Packed { b: b.as_slice(), panel: pack.as_slice() };
+        gemm_into(a.rows(), a.cols(), b.cols(), a.as_slice(), rhs, finite, out);
+    }
+}
 
 fn bench(c: &mut Criterion) {
     let sample_size = samples();
@@ -40,13 +55,13 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("dense_{m}x{k}x{n}"), |bch| {
             bch.iter(|| black_box(a.matmul(&b).unwrap()))
         });
-        // The steady-state serving form: cached mask + packed panel +
+        // The steady-state serving form: cached flag + packed panel +
         // caller-owned output, no per-call allocation at all.
-        let mut scratch = GemmScratch::precomputed(&b);
+        let mut product = packed_product(&a, &b);
         let mut out = vec![0.0; m * n];
         g.bench_function(format!("dense_into_{m}x{k}x{n}"), |bch| {
             bch.iter(|| {
-                a.matmul_into(&b, &mut scratch, &mut out).unwrap();
+                product(&mut out);
                 black_box(out.as_slice().len())
             })
         });
@@ -59,11 +74,11 @@ fn bench(c: &mut Criterion) {
         *v = v.max(0.0);
     }
     let b = filled_matrix(128, 128, 11);
-    let mut scratch = GemmScratch::precomputed(&b);
+    let mut product = packed_product(&a, &b);
     let mut out = vec![0.0; 256 * 128];
     g.bench_function("relu_into_256x128x128", |bch| {
         bch.iter(|| {
-            a.matmul_into(&b, &mut scratch, &mut out).unwrap();
+            product(&mut out);
             black_box(out.as_slice().len())
         })
     });

@@ -1,9 +1,8 @@
 //! Regression gate over the bench harness JSON emissions
 //! (`BENCH_matmul.json`, `BENCH_serve.json`).
 //!
-//! Two layers of checks, designed so CI can run the hot-path bench with
-//! telemetry instrumentation compiled in (`--features kernel-stats`) and
-//! fail if the instrumentation — or any other change — costs real speed:
+//! Three layers of checks, so CI fails when a change costs the hot path
+//! real speed:
 //!
 //! 1. **Machine-independent invariants** (always on): within a single
 //!    run, the blocked `dense_into` kernel must still beat the naive

@@ -6,8 +6,8 @@
 //!
 //! * [`Matrix`] — row-major dense `f64` matrix with cache-friendly matmul,
 //! * [`gemm`] — cache-blocked, allocation-free GEMM kernel behind
-//!   [`Matrix::matmul`]/[`Matrix::matmul_into`] ([`gemm::GemmScratch`]
-//!   caches the rhs-row finiteness mask across calls),
+//!   [`Matrix::matmul`] ([`gemm::gemm_into`] takes caller-owned buffers
+//!   and one flag saying whether the rhs is all finite),
 //! * [`eigen::sym_eigen`] — cyclic Jacobi eigendecomposition for symmetric
 //!   matrices (PCA, GMM covariances),
 //! * [`lu::LuDecomposition`] — LU with partial pivoting (solve, inverse,
@@ -31,7 +31,6 @@ pub mod matrix;
 pub mod vecops;
 
 pub use error::LinalgError;
-pub use gemm::GemmScratch;
 pub use matrix::Matrix;
 
 /// Convenience result alias for fallible linear-algebra routines.

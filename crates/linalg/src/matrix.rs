@@ -5,6 +5,7 @@
 //! passes, pairwise distances, tree-ensemble scoring) iterates rows.
 
 use crate::error::LinalgError;
+use crate::gemm::{self, AlignedBuf, Rhs};
 use crate::Result;
 
 /// A dense row-major matrix of `f64` values.
@@ -145,7 +146,7 @@ impl Matrix {
     /// Iterator over row slices. Always yields exactly [`Matrix::rows`]
     /// items — a `rows × 0` matrix yields `rows` empty slices, not zero
     /// rows (chunking the empty backing buffer would disagree with the
-    /// declared shape and make e.g. `matvec` drop rows).
+    /// declared shape and make e.g. `row_finiteness` drop rows).
     pub fn row_iter(&self) -> impl Iterator<Item = &[f64]> {
         let cols = self.cols;
         (0..self.rows).map(move |r| &self.data[r * cols..(r + 1) * cols])
@@ -180,22 +181,19 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Thin allocating wrapper over [`Matrix::matmul_into`], which runs
-    /// the cache-blocked kernel in [`crate::gemm`]. Per-element `k`
-    /// accumulation stays sequential, so results are bit-identical to
-    /// the historic naive i/k/j kernel.
+    /// Matrix product `self * rhs` on the cache-blocked kernel in
+    /// [`crate::gemm`]. Per-element `k` accumulation stays sequential,
+    /// so results are bit-identical to the historic naive i/k/j kernel.
+    /// A batch of at least 8 rows against at least one full 32-column
+    /// strip packs the rhs into a one-shot panel first.
     ///
     /// Follows IEEE-754 semantics: a NaN or infinity in *either* operand
     /// poisons every product element it participates in. Zero left-hand
     /// coefficients (common: ReLU activations are about half zeros) may
-    /// only skip their rank-1 update when the matching `rhs` row is all
-    /// finite — `0.0 * NaN` and `0.0 * inf` are NaN, so an unconditional
-    /// skip would let a corrupted operand score clean. The per-row
-    /// finiteness mask is built lazily on the first zero coefficient hit
-    /// (dense multiplies pay nothing for it) and can be cached across
-    /// calls via [`crate::gemm::GemmScratch`].
+    /// only skip their terms when the rhs is all finite — `0.0 * NaN`
+    /// and `0.0 * inf` are NaN, so an unconditional skip would let a
+    /// corrupted operand score clean. The rhs is scanned only when the
+    /// lhs holds a zero, so dense multiplies pay nothing for the check.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         // Validate before allocating: a mismatched pair must cost an
         // error, not an m×n zero buffer.
@@ -206,39 +204,17 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let mut scratch = crate::gemm::GemmScratch::new();
-        self.matmul_into(rhs, &mut scratch, out.as_mut_slice())?;
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * v` — the `n = 1` case of the
-    /// blocked kernel, with `v` read as a `k×1` column.
-    ///
-    /// Shares `matmul`'s exact semantics (ascending-`k` accumulation
-    /// from `+0.0`, zero-coefficient skip gated on `v[k]` finiteness).
-    /// One observable delta from the pre-kernel implementation, which
-    /// folded from `-0.0` (std's `Sum` identity): a result that is
-    /// exactly zero is always `+0.0` now, where the old code could
-    /// return `-0.0`. The two compare equal; only `to_bits` differs.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.cols != v.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.shape(),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        crate::gemm::gemm_into(
-            self.rows,
-            self.cols,
-            1,
-            &self.data,
-            crate::gemm::Rhs::RowMajor(v),
-            |r| v[r].is_finite(),
-            &mut out,
-        );
+        let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        let mut out = Matrix::zeros(m, n);
+        let rhs_finite = self.data.contains(&0.0) && gemm::all_finite(&rhs.data);
+        let mut pack = AlignedBuf::default();
+        let b = if m >= gemm::PACK_MIN_ROWS && n >= gemm::NR {
+            gemm::pack_rhs(k, n, &rhs.data, &mut pack);
+            Rhs::Packed { b: &rhs.data, panel: pack.as_slice() }
+        } else {
+            Rhs::RowMajor(&rhs.data)
+        };
+        gemm::gemm_into(m, k, n, &self.data, b, rhs_finite, &mut out.data);
         Ok(out)
     }
 
@@ -479,21 +455,10 @@ mod tests {
         let rows: Vec<&[f64]> = z.row_iter().collect();
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.is_empty()));
-        // matvec on a rows×0 matrix is `rows` empty dot products = zeros.
-        assert_eq!(z.matvec(&[]).unwrap(), vec![0.0; 3]);
-        // matmul against a 0×k operand likewise keeps the row count.
+        // matmul against a 0×k operand keeps the row count.
         let c = z.matmul(&Matrix::zeros(0, 4)).unwrap();
         assert_eq!(c.shape(), (3, 4));
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let v = vec![1.0, 0.5, -1.0];
-        let got = a.matvec(&v).unwrap();
-        assert_eq!(got, vec![1.0 + 1.0 - 3.0, 4.0 + 2.5 - 6.0]);
-        assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::strategy::Just;
 use uadb_linalg::colstats::covariance;
 use uadb_linalg::distance::{euclidean, pairwise};
 use uadb_linalg::eigen::sym_eigen;
-use uadb_linalg::gemm::{row_finiteness, GemmScratch};
+use uadb_linalg::gemm::{all_finite, gemm_into, pack_rhs, row_finiteness, AlignedBuf, Rhs};
 use uadb_linalg::lu::LuDecomposition;
 use uadb_linalg::vecops::{mean, population_variance};
 use uadb_linalg::Matrix;
@@ -37,7 +37,9 @@ fn poisoned_cell() -> impl Strategy<Value = f64> {
 /// all zeros. One case in three is ReLU-shaped instead: about half the
 /// lhs cells are exactly `0.0`, `m` runs past the 64-row block and `k`
 /// past the 256-deep `k` block of the compacted path, and the rhs holds
-/// at most one NaN, so most zeros skip while that row's zeros may not.
+/// at most one NaN — in about half the cases — so both values of the
+/// rhs-finite flag run: the compacted strips when it is clean, the
+/// dense strips when it is not.
 fn gemm_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
     let shape = (0u32..3).prop_flat_map(|draw| {
         // Miri runs 4 cases and would spend minutes on one ReLU-shaped
@@ -108,33 +110,19 @@ fn bit_mismatch(got: &[f64], want: &[f64]) -> Option<usize> {
 
 proptest! {
     #[test]
-    fn matmul_into_is_bit_identical_to_reference((a, b) in gemm_operands()) {
+    fn packed_gemm_and_matmul_are_bit_identical_to_reference((a, b) in gemm_operands()) {
         let want = reference_matmul(&a, &b);
-        // Lazy scratch (mask built on first zero hit, packing decided
-        // by batch height)…
+        // The packed view at every batch height, with the flag a layer
+        // caches for its weights…
+        let mut pack = AlignedBuf::default();
+        pack_rhs(b.rows(), b.cols(), b.as_slice(), &mut pack);
+        let rhs = Rhs::Packed { b: b.as_slice(), panel: pack.as_slice() };
+        let finite = all_finite(b.as_slice());
         let mut out = vec![f64::NAN; a.rows() * b.cols()];
-        a.matmul_into(&b, &mut GemmScratch::new(), &mut out).unwrap();
+        gemm_into(a.rows(), a.cols(), b.cols(), a.as_slice(), rhs, finite, &mut out);
         prop_assert_eq!(bit_mismatch(&out, want.as_slice()), None);
-        // …the eagerly packed/masked scratch…
-        let mut scratch = GemmScratch::precomputed(&b);
-        let mut out2 = vec![f64::NAN; out.len()];
-        a.matmul_into(&b, &mut scratch, &mut out2).unwrap();
-        prop_assert_eq!(bit_mismatch(&out2, want.as_slice()), None);
-        // …and a warm reused scratch must all agree with the reference.
-        let mut out3 = vec![f64::NAN; out.len()];
-        a.matmul_into(&b, &mut scratch, &mut out3).unwrap();
-        prop_assert_eq!(bit_mismatch(&out3, want.as_slice()), None);
-        // The allocating wrapper is a thin shim over the same kernel.
+        // …and the allocating product, which packs by batch height.
         prop_assert_eq!(bit_mismatch(a.matmul(&b).unwrap().as_slice(), want.as_slice()), None);
-    }
-
-    #[test]
-    fn matvec_is_bit_identical_to_single_column_matmul((a, b) in gemm_operands()) {
-        let col = b.col(0);
-        let want: Vec<f64> = reference_matmul(&a, &Matrix::from_vec(col.len(), 1, col.clone()).unwrap())
-            .into_vec();
-        let got = a.matvec(&col).unwrap();
-        prop_assert_eq!(bit_mismatch(&got, &want), None);
     }
 
     #[test]
@@ -197,7 +185,7 @@ proptest! {
             let v = a.get(i, i) + 50.0;
             a.set(i, i, v);
         }
-        let b = a.matvec(&x).unwrap();
+        let b = a.matmul(&Matrix::from_vec(4, 1, x.clone()).unwrap()).unwrap().into_vec();
         let lu = LuDecomposition::new(&a).unwrap();
         let got = lu.solve(&b).unwrap();
         for (g, e) in got.iter().zip(&x) {

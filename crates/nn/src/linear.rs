@@ -6,19 +6,9 @@ use std::sync::OnceLock;
 use uadb_linalg::gemm::{self, AlignedBuf, Rhs};
 use uadb_linalg::Matrix;
 
-/// Whether row `r` of the row-major buffer `m` (rows `width` wide) is
-/// entirely finite: the rhs-row predicate [`gemm::gemm_into`] takes.
-/// The fold does not stop early, so it vectorises; rows are finite in
-/// practice, and on a 31-row training step this was 8% faster than
-/// `all`.
-// audit: no_alloc
-pub(crate) fn row_is_finite(m: &[f64], width: usize, r: usize) -> bool {
-    m[r * width..(r + 1) * width].iter().fold(true, |ok, v| ok & v.is_finite())
-}
-
 /// Weight-derived artifacts the GEMM kernel reuses across forward
-/// passes: the per-row finiteness mask (gates the zero-coefficient
-/// skip) and the strip-major packed panel (sequential streaming).
+/// passes: whether `W` is all finite (gates the zero-coefficient skip)
+/// and the strip-major packed panel (sequential streaming).
 ///
 /// Both are pure functions of `W`, so they live in a [`OnceLock`]
 /// shared by every thread scoring the same layer and are dropped
@@ -28,20 +18,20 @@ pub(crate) fn row_is_finite(m: &[f64], width: usize, r: usize) -> bool {
 /// Training double-buffers the panel: [`Linear::apply_adam`] takes the
 /// live cache out of the `OnceLock`, repacks it **in place** from the
 /// stepped weights and publishes it again, so steady-state training
-/// recycles one warm buffer pair instead of dropping the cache cold
-/// and reallocating it on the next forward pass.
+/// recycles one warm panel instead of dropping the cache cold and
+/// reallocating it on the next forward pass.
 #[derive(Debug, Clone, Default)]
 struct WeightCache {
-    row_finite: Vec<bool>,
+    finite: bool,
     pack: AlignedBuf,
 }
 
 impl WeightCache {
-    /// Rebuilds both artifacts from `w`, reusing the existing
-    /// allocations (grow-once, like the kernels they feed).
+    /// Rebuilds both artifacts from `w`, reusing the panel allocation
+    /// (grow-once, like the kernels it feeds).
     fn repack(&mut self, w: &Matrix) {
         gemm::pack_rhs(w.rows(), w.cols(), w.as_slice(), &mut self.pack);
-        gemm::row_finiteness_into(w, &mut self.row_finite);
+        self.finite = gemm::all_finite(w.as_slice());
     }
 }
 
@@ -105,11 +95,11 @@ impl Linear {
     }
 
     /// Re-derives the weight cache after a weight step by swapping the
-    /// warm panel pair back in: takes the live cache (or the spare left
+    /// warm panel back in: takes the live cache (or the spare left
     /// by an earlier invalidation), repacks it in place from the
     /// current weights and republishes it. The `OnceLock` is never left
     /// cold, so a training loop alternating forward passes with Adam
-    /// steps performs zero pack/mask allocation at steady state.
+    /// steps performs zero pack allocation at steady state.
     fn refresh_cache(&mut self) {
         let mut wc = self.cache.take().or_else(|| self.spare.take()).unwrap_or_default();
         wc.repack(&self.w);
@@ -139,8 +129,9 @@ impl Linear {
     /// Allocation-free batch forward over raw row-major slices: reads
     /// `batch` rows of [`Linear::input_dim`] features from `x` and
     /// writes `batch` rows of [`Linear::output_dim`] activations over
-    /// `out`. Uses the cached weight mask and packed panel, so steady-
-    /// state scoring performs no allocation and no weight re-scan.
+    /// `out`. Uses the cached weight finiteness and packed panel, so
+    /// steady-state scoring performs no allocation and no weight
+    /// re-scan.
     ///
     /// Results are bit-identical to the historic `matmul` + bias path.
     ///
@@ -158,7 +149,7 @@ impl Linear {
             out_dim,
             x,
             Rhs::Packed { b: self.w.as_slice(), panel: cache.pack.as_slice() },
-            |r| cache.row_finite[r],
+            cache.finite,
             out,
         );
         for row in out.chunks_exact_mut(out_dim.max(1)) {
@@ -214,11 +205,11 @@ impl Linear {
     /// [`gemm::packed_len`]`(out, in)` elements, best 64-byte aligned
     /// (an [`AlignedBuf`]); it receives the strip-major panel of `Wᵀ`'s
     /// full [`gemm::NR`]-column strips, packed in one pass over `W` by
-    /// [`gemm::pack_transposed`]. `wt_finite` (`out` entries) receives
-    /// `Wᵀ`'s row finiteness, `W`'s column finiteness, from the same
-    /// pass; it gates the zero-coefficient skip. `Wᵀ`'s ragged
-    /// `in % NR` columns are read from `W`'s last rows. Nothing is
-    /// allocated.
+    /// [`gemm::pack_transposed`]. `Wᵀ`'s ragged `in % NR` columns are
+    /// read from `W`'s last rows. The zero-coefficient skip reads the
+    /// weight cache's finiteness flag, since `Wᵀ` is all finite exactly
+    /// when `W` is. Nothing is allocated once the weight cache is
+    /// built, as the forward pass of the same step builds it.
     ///
     /// Each element adds its terms in ascending output order with
     /// unfused mul then add, as the `grad_x` half of
@@ -237,17 +228,16 @@ impl Linear {
         grad_out: &[f64],
         batch: usize,
         wt: &mut [f64],
-        wt_finite: &mut [bool],
         grad_in: &mut [f64],
     ) {
         let (in_dim, out_dim) = self.w.shape();
         assert_eq!(grad_out.len(), batch * out_dim, "grad_out length must be batch*out");
         assert_eq!(grad_in.len(), batch * in_dim, "grad_in length must be batch*in");
         let w = self.w.as_slice();
-        gemm::pack_transposed(in_dim, out_dim, w, wt, wt_finite);
-        let (panel, finite) = (&*wt, &*wt_finite);
-        let rhs = Rhs::Transposed { w, panel };
-        gemm::gemm_into(batch, out_dim, in_dim, grad_out, rhs, |o| finite[o], grad_in);
+        gemm::pack_transposed(in_dim, out_dim, w, wt);
+        let rhs = Rhs::Transposed { w, panel: wt };
+        let finite = self.weight_cache().finite;
+        gemm::gemm_into(batch, out_dim, in_dim, grad_out, rhs, finite, grad_in);
     }
 
     /// Mutable access to the accumulated gradient buffers
@@ -368,6 +358,25 @@ mod tests {
         let gx = l.backward(&x, &grad_out);
         // grad_x = grad_out W^T = [1*1 + 0*2, 1*3 + 0*4]
         assert_eq!(gx.as_slice(), &[1.0, 3.0]);
+    }
+
+    /// A NaN weight must reach `grad_in` through a zero output
+    /// gradient on the full strips of `Wᵀ`, bit for bit as the
+    /// reference product gives it: the skip flag has to see `W`'s NaN.
+    #[test]
+    fn backward_input_keeps_nan_weights_through_zero_gradients() {
+        // 33 inputs: one full 32-column strip of `Wᵀ` plus one ragged.
+        let mut l = Linear::new(33, 3, &mut StdRng::seed_from_u64(7));
+        l.weights_mut().set(1, 0, f64::NAN);
+        // Row 0's gradient is zero for output 0, the NaN's column of `W`.
+        let g = Matrix::from_vec(2, 3, vec![0.0, 1.0, -2.0, 0.5, 0.0, 1.5]).unwrap();
+        let mut wt = vec![0.0; gemm::packed_len(3, 33)];
+        let mut got = vec![0.0; 2 * 33];
+        l.backward_input_into(g.as_slice(), 2, &mut wt, &mut got);
+        assert!(got[1].is_nan(), "0 * NaN skipped: {}", got[1]);
+        let want = gemm::naive_matmul(&g, &l.weights().transpose());
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(want.as_slice()));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! batch-gather buffer (replacing per-chunk `select_rows`), the
 //! retained per-layer activation inputs backprop reads, the per-layer
 //! gradient matrices, the gathered target column, and the operands of
-//! the two backward products (`xᵀ`, and the packed `Wᵀ` panel with its
-//! row finiteness) — all grow-once, so a
-//! training loop allocates nothing at steady state (the layer
-//! parameter gradients and the packed rhs panels are likewise recycled
-//! inside [`crate::linear::Linear`]).
+//! the two backward products (`xᵀ`, and the packed `Wᵀ` panel) — all
+//! grow-once, so a training loop allocates nothing at steady state (the
+//! layer parameter gradients and the packed rhs panels are likewise
+//! recycled inside [`crate::linear::Linear`]).
 //!
 //! # Bit-identity
 //!
@@ -17,8 +16,8 @@
 //! and lands on exactly the weights of the historic
 //! `forward_cached` + `backward_and_step` loop. The forward pass makes
 //! the same GEMM calls on the same rows. Both backward products run on
-//! the dispatched [`gemm_into`] strips, with the rhs's true row
-//! finiteness:
+//! the dispatched [`gemm_into`] strips, each told whether its rhs is
+//! all finite:
 //!
 //! * `grad_in = g·Wᵀ` in [`Linear::backward_input_into`], over `Wᵀ`
 //!   packed strip-major straight from `W`;
@@ -29,9 +28,9 @@
 //! strips read for `Wᵀ[o][j]`, exactly `W[j][o]`; the ragged columns
 //! read the same value from `W`'s row `j`; and the strips walk `o` in
 //! ascending order as they did over the materialised `Wᵀ`. The skip
-//! rule reads `W`'s column finiteness, which is `Wᵀ`'s row finiteness,
-//! so the same terms are skipped. Every output element therefore sees
-//! the same operands in the same order.
+//! rule reads whether `W` is all finite, which is whether `Wᵀ` is, so
+//! the same terms are skipped. Every output element therefore sees the
+//! same operands in the same order.
 //!
 //! Every element still adds its terms in ascending order (output units
 //! for `grad_in`, batch rows for `grad_w`) with unfused mul then add, as
@@ -45,8 +44,8 @@
 //!   whose terms are all zero can end as `+0.0` where the historic loop
 //!   gave `-0.0`.
 //! * The GEMM skips a term whose lhs coefficient is `±0.0` when the
-//!   matching rhs row is finite. The term is `±0.0`, and a sum that
-//!   starts at `+0.0` is never `-0.0`, so adding it changes no bit.
+//!   whole rhs is finite. The term is `±0.0`, and a sum that starts at
+//!   `+0.0` is never `-0.0`, so adding it changes no bit.
 //!
 //! Every consumer of `grad_in` is blind to the sign of a zero. The ReLU
 //! gate overwrites it with `+0.0` wherever the layer input is `<= 0`.
@@ -72,9 +71,9 @@
 //! networks side by side, each on its own scratch.
 
 use crate::adam::AdamParams;
-use crate::linear::{row_is_finite, Linear};
+use crate::linear::Linear;
 use crate::mlp::{relu_slice, sigmoid_slice, Activation, Mlp};
-use uadb_linalg::gemm::{gemm_into, packed_len, AlignedBuf, Rhs};
+use uadb_linalg::gemm::{all_finite, gemm_into, packed_len, AlignedBuf, Rhs};
 use uadb_linalg::matrix::transpose_into;
 use uadb_linalg::Matrix;
 
@@ -98,8 +97,6 @@ pub struct TrainScratch {
     /// The packed `Wᵀ` panel of the layer whose input gradient is being
     /// computed (see [`Linear::backward_input_into`]).
     wt: AlignedBuf,
-    /// That `Wᵀ`'s row finiteness.
-    wt_finite: Vec<bool>,
     /// `xᵀ` of the layer whose weight gradient is being computed.
     xt: Vec<f64>,
 }
@@ -146,10 +143,6 @@ impl TrainScratch {
             .unwrap_or(0);
         if self.wt.as_slice().len() < need_wt {
             self.wt.resize(need_wt);
-        }
-        let need_finite = layers[1..].iter().map(Linear::output_dim).max().unwrap_or(0);
-        if self.wt_finite.len() < need_finite {
-            self.wt_finite.resize(need_finite, false);
         }
         let need_xt = batch * layers.iter().map(Linear::input_dim).max().unwrap_or(0);
         if self.xt.len() < need_xt {
@@ -220,13 +213,13 @@ pub(crate) fn train_batch_step(
     objective: &Objective<'_>,
     hp: &AdamParams,
 ) -> f64 {
-    let TrainScratch { inputs, output, grads, targets, wt, wt_finite, xt } = scratch;
+    let TrainScratch { inputs, output, grads, targets, wt, xt } = scratch;
     let loss = match objective {
         Objective::Mse => BatchLoss::Mse { targets: &targets[..batch] },
         Objective::Svdd { center } => BatchLoss::Svdd { center },
     };
     let output = &mut output[..batch * mlp.output_dim()];
-    row_phase(mlp, inputs, output, grads, (wt.as_mut_slice(), wt_finite), batch, loss);
+    row_phase(mlp, inputs, output, grads, wt.as_mut_slice(), batch, loss);
     let total = loss_sum(output, loss);
 
     // --- Weight phase and optimiser, in forward layer order (as the
@@ -242,7 +235,7 @@ pub(crate) fn train_batch_step(
         let (grad_w, grad_b) = layer.grads_mut();
         accumulate_grad_b(g, lout, grad_b);
         // grad_w = xᵀ·g, summed over the batch rows in ascending order.
-        gemm_into(lin, batch, lout, xt, Rhs::RowMajor(g), |r| row_is_finite(g, lout, r), grad_w);
+        gemm_into(lin, batch, lout, xt, Rhs::RowMajor(g), all_finite(g), grad_w);
         layer.apply_adam(hp);
     }
     total
@@ -251,7 +244,7 @@ pub(crate) fn train_batch_step(
 /// Forward pass, loss gradient and backward chain over the batch's
 /// `rows` rows: `inputs[i]` receives layer `i`'s input, `output` the
 /// post-activation head, `grads[i]` layer `i`'s pre-activation
-/// gradient. `wt` is the `Wᵀ` panel and finiteness scratch of
+/// gradient. `wt` is the `Wᵀ` panel scratch of
 /// [`Linear::backward_input_into`].
 // audit: no_alloc
 fn row_phase(
@@ -259,11 +252,10 @@ fn row_phase(
     inputs: &mut [Vec<f64>],
     output: &mut [f64],
     grads: &mut [Vec<f64>],
-    wt: (&mut [f64], &mut [bool]),
+    wt: &mut [f64],
     rows: usize,
     loss: BatchLoss<'_>,
 ) {
-    let (wt, wt_finite) = wt;
     let last = mlp.n_layers() - 1;
     let b = rows as f64;
     // Forward: layer i reads its input rows and writes its output rows
@@ -318,7 +310,7 @@ fn row_phase(
         let g_in = &mut g_lo[i - 1][..rows * lin];
         let panel = &mut wt[..packed_len(lout, lin)];
         let g_out = &g_hi[0][..rows * lout];
-        layer.backward_input_into(g_out, rows, panel, &mut wt_finite[..lout], g_in);
+        layer.backward_input_into(g_out, rows, panel, g_in);
         for (g, &a) in g_in.iter_mut().zip(&inputs[i]) {
             *g = if a <= 0.0 { 0.0 } else { *g };
         }

@@ -869,22 +869,13 @@ impl ServeMetrics {
     }
 
     /// Renders the full exposition: every registered family, then the
-    /// GEMM kernel counters (feature-gated in `uadb_linalg`; all-zero
-    /// when compiled out) and the logger's suppression counter, which
-    /// live outside the registry.
+    /// GEMM kernel's per-ISA call counters and the logger's suppression
+    /// counter, which live outside the registry.
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(8192);
         self.registry.render_into(&mut out);
 
         let ks = uadb_linalg::gemm::stats::snapshot();
-        out.push_str("# HELP uadb_gemm_packs_built_total GEMM weight packings built.\n");
-        out.push_str("# TYPE uadb_gemm_packs_built_total counter\n");
-        out.push_str(&format!("uadb_gemm_packs_built_total {}\n", ks.packs_built));
-        out.push_str(
-            "# HELP uadb_gemm_packs_reused_total GEMM calls served from a cached packing.\n",
-        );
-        out.push_str("# TYPE uadb_gemm_packs_reused_total counter\n");
-        out.push_str(&format!("uadb_gemm_packs_reused_total {}\n", ks.packs_reused));
         out.push_str("# HELP uadb_gemm_calls_total GEMM kernel invocations, by ISA path.\n");
         out.push_str("# TYPE uadb_gemm_calls_total counter\n");
         out.push_str(&format!("uadb_gemm_calls_total{{isa=\"avx512\"}} {}\n", ks.calls_avx512));

@@ -17,8 +17,6 @@ const INVENTORY: &[&str] = &[
     "uadb_divergence_samples_total",
     "uadb_feature_drift_max",
     "uadb_gemm_calls_total",
-    "uadb_gemm_packs_built_total",
-    "uadb_gemm_packs_reused_total",
     "uadb_http_connections_closed_total",
     "uadb_http_connections_opened_total",
     "uadb_http_open_connections",

@@ -277,7 +277,6 @@ fn metrics_scrape_under_load_is_valid_and_scores_stay_bit_identical() {
         "uadb_pool_worker_busy_nanoseconds_total",
         "uadb_model_requests_total{model=\"default\",variant=\"booster\"}",
         "uadb_model_rows_total{model=\"default\",variant=\"booster\"}",
-        "uadb_gemm_packs_built_total",
         "uadb_gemm_calls_total",
         "uadb_log_dropped_total",
     ] {
